@@ -1,7 +1,7 @@
 """Exact differential-algebra engine for the Kuchment-Lvin polynomial
 family and its combinatorial identities."""
 
-from .diffalg import DiffMonomial, DiffPolynomial, LambdaPolynomial
+from .diffalg import DiffPolynomial, LambdaPolynomial
 from .combinatorics import (
     convolution,
     density,

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .diffalg import DiffMonomial, DiffPolynomial
+from .diffalg import DiffPolynomial
 
 Composition = tuple[int, ...]
 
@@ -60,8 +60,9 @@ def differential_word(beta: Composition) -> DiffPolynomial:
     return w
 
 
-def product_rule_coefficient(beta: Composition, pi: DiffMonomial) -> int:
-    """Multiplicity of the monomial pi in the differential word of beta."""
+def product_rule_coefficient(beta: Composition, pi: tuple[int, ...]) -> int:
+    """Multiplicity of the monomial pi (derivative orders, in any order) in
+    the differential word of beta."""
     return differential_word(beta).coefficient(pi).constant_value()
 
 

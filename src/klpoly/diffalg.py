@@ -1,15 +1,19 @@
-"""Differential monomials and polynomials with integer coefficients in λ.
+"""Differential polynomials with integer coefficients in λ.
 
-The central object is a finite sum of differential products
-u^(a1) u^(a2) ... u^(aj) whose coefficients are polynomials in a formal
-parameter λ with arbitrary-precision integer coefficients.  Everything is
-kept exact and canonical: monomials store their derivative orders sorted
-ascending, and no zero coefficient is ever stored.
+The central object is a finite sum of terms c·λ^e·u^(a1) u^(a2) ... u^(aj)
+with arbitrary-precision integers c.  A monomial u^(a1)···u^(aj) is the
+plain tuple of its derivative orders, sorted ascending: its length is the
+degree, its sum the order, and () is the constant 1.  A polynomial is one
+flat map (monomial, λ-exponent) -> integer with no zero value stored, so
+equal polynomials have equal maps.  ``LambdaPolynomial`` is the public view
+of the λ-coefficient of one monomial.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
+
+Monomial = tuple[int, ...]
 
 
 class LambdaPolynomial:
@@ -93,10 +97,6 @@ class LambdaPolynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, value):
-        """Substitute a numeric value for λ."""
-        return sum(c * value**e for e, c in self._coeffs.items())
-
     def __repr__(self) -> str:
         if not self._coeffs:
             return "0"
@@ -111,104 +111,71 @@ class LambdaPolynomial:
         return " + ".join(parts)
 
 
-LAMBDA = LambdaPolynomial.lam()
-ONE = LambdaPolynomial.constant(1)
+def canonical_monomial(orders: Iterable[int]) -> Monomial:
+    """The monomial with these derivative orders: the orders sorted
+    ascending.  Raises ValueError on a negative order."""
+    mono = tuple(sorted(orders))
+    if mono and mono[0] < 0:
+        raise ValueError(f"negative derivative order in {mono}")
+    return mono
 
 
-class DiffMonomial:
-    """A product u^(a1)···u^(aj) of derivatives of u, in canonical form.
-
-    The derivative orders are stored sorted ascending so that two equal
-    products compare equal.  The empty product represents the constant 1.
-    """
-
-    __slots__ = ("orders",)
-
-    def __init__(self, orders: Iterable[int] = ()):
-        orders = tuple(sorted(orders))
-        if orders and orders[0] < 0:
-            raise ValueError(f"negative derivative order in {orders}")
-        object.__setattr__(self, "orders", orders)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffMonomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Number of u-factors."""
-        return len(self.orders)
-
-    @property
-    def order(self) -> int:
-        """Total number of derivatives across all factors."""
-        return sum(self.orders)
-
-    def sort_key(self) -> tuple:
-        return (self.degree, self.order, self.orders)
-
-    def times_u(self) -> "DiffMonomial":
-        return DiffMonomial(self.orders + (0,))
-
-    def derivative_terms(self) -> Iterator["DiffMonomial"]:
-        """Product rule: yield one monomial per factor, possibly repeating."""
-        for i in range(len(self.orders)):
-            bumped = self.orders[:i] + (self.orders[i] + 1,) + self.orders[i + 1 :]
-            yield DiffMonomial(bumped)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiffMonomial):
-            return NotImplemented
-        return self.orders == other.orders
-
-    def __hash__(self) -> int:
-        return hash(self.orders)
-
-    def __repr__(self) -> str:
-        if not self.orders:
-            return "1"
-        def factor(t: int) -> str:
-            return "u" + ("'" * t if t <= 2 else f"^({t})")
-        return "·".join(factor(t) for t in self.orders)
-
-
-CONSTANT_MONOMIAL = DiffMonomial(())
-U_MONOMIAL = DiffMonomial((0,))
+def _pruned(flat: dict) -> dict:
+    return {key: c for key, c in flat.items() if c}
 
 
 class DiffPolynomial:
-    """Finite map from differential monomials to λ-polynomials.
+    """Finite sum of terms c·λ^e·π, stored as {(π, e): c} with c != 0.
 
-    Canonical: no monomial maps to zero.  Equality is structural.
+    Equality is structural.  Instances are immutable by convention.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[DiffMonomial, LambdaPolynomial] = ()):
-        self._terms = {m: c for m, c in dict(terms).items() if not c.is_zero()}
+    def __init__(self, terms: Mapping[Iterable[int], LambdaPolynomial] = ()):
+        """Build from {orders: λ-coefficient}; the orders need not be
+        sorted, and orders naming the same monomial add up."""
+        flat: dict[tuple[Monomial, int], int] = {}
+        for orders, coeff in dict(terms).items():
+            mono = canonical_monomial(orders)
+            for e, c in coeff._coeffs.items():
+                flat[mono, e] = flat.get((mono, e), 0) + c
+        self._terms = _pruned(flat)
+
+    @classmethod
+    def _wrap(cls, flat: dict[tuple[Monomial, int], int]) -> "DiffPolynomial":
+        """Adopt an already pruned flat map of sorted monomials."""
+        p = cls.__new__(cls)
+        p._terms = flat
+        return p
 
     @classmethod
     def zero(cls) -> "DiffPolynomial":
         return cls()
 
     @classmethod
-    def from_monomial(
-        cls, mono: DiffMonomial, coeff: Union[LambdaPolynomial, int] = 1
-    ) -> "DiffPolynomial":
-        if isinstance(coeff, int):
-            coeff = LambdaPolynomial.constant(coeff)
-        return cls({mono: coeff})
-
-    @classmethod
     def u_power(cls, k: int) -> "DiffPolynomial":
         """The monomial u^k (k = 0 gives the constant 1)."""
-        return cls.from_monomial(DiffMonomial((0,) * k))
+        return cls._wrap({((0,) * k, 0): 1})
 
-    def terms(self) -> list[tuple[DiffMonomial, LambdaPolynomial]]:
-        """Terms sorted by (degree, order, orders)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+    def items(self):
+        """((monomial, λ-exponent), coefficient) pairs of the flat map, in
+        no particular order."""
+        return self._terms.items()
 
-    def coefficient(self, mono: DiffMonomial) -> LambdaPolynomial:
-        return self._terms.get(mono, LambdaPolynomial())
+    def terms(self) -> list[tuple[Monomial, LambdaPolynomial]]:
+        """(monomial, λ-coefficient) pairs sorted by (degree, order, orders)."""
+        grouped: dict[Monomial, dict[int, int]] = {}
+        for (mono, e), c in self._terms.items():
+            grouped.setdefault(mono, {})[e] = c
+        return [
+            (mono, LambdaPolynomial(grouped[mono]))
+            for mono in sorted(grouped, key=lambda m: (len(m), sum(m), m))
+        ]
+
+    def coefficient(self, orders: Iterable[int]) -> LambdaPolynomial:
+        mono = canonical_monomial(orders)
+        return LambdaPolynomial({e: c for (m, e), c in self._terms.items() if m == mono})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -216,7 +183,7 @@ class DiffPolynomial:
     def min_degree(self) -> int | None:
         if not self._terms:
             return None
-        return min(m.degree for m in self._terms)
+        return min(len(mono) for mono, _ in self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffPolynomial):
@@ -227,43 +194,63 @@ class DiffPolynomial:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            merged[m] = merged.get(m, LambdaPolynomial()) + c
-        return DiffPolynomial(merged)
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0) + c
+        return self._wrap(_pruned(out))
 
     def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial({m: -c for m, c in self._terms.items()})
+        return self._wrap({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         return self + (-other)
 
     def scale(self, c: Union[LambdaPolynomial, int]) -> "DiffPolynomial":
-        if isinstance(c, int):
-            c = LambdaPolynomial.constant(c)
-        return DiffPolynomial({m: coeff * c for m, coeff in self._terms.items()})
+        factors = c._coeffs.items() if isinstance(c, LambdaPolynomial) else [(0, c)]
+        out: dict[tuple[Monomial, int], int] = {}
+        for (mono, e), coeff in self._terms.items():
+            for e2, c2 in factors:
+                key = (mono, e + e2)
+                out[key] = out.get(key, 0) + coeff * c2
+        return self._wrap(_pruned(out))
 
     def differentiate(self) -> "DiffPolynomial":
-        """∂ applied termwise via the product rule; λ is a constant."""
-        out: dict[DiffMonomial, LambdaPolynomial] = {}
-        for mono, coeff in self._terms.items():
-            for bumped in mono.derivative_terms():
-                out[bumped] = out.get(bumped, LambdaPolynomial()) + coeff
-        return DiffPolynomial(out)
+        """∂ applied termwise via the product rule; λ is a constant.
+
+        Equal orders form a run in the sorted monomial; differentiating any
+        factor of a run of t's gives the same monomial, so the last t of the
+        run is bumped to t + 1, with the run length as multiplicity, and the
+        monomial stays sorted.
+        """
+        out: dict[tuple[Monomial, int], int] = {}
+        for (mono, e), c in self._terms.items():
+            end = len(mono)
+            i = 0
+            while i < end:
+                t = mono[i]
+                j = i + 1
+                while j < end and mono[j] == t:
+                    j += 1
+                key = (mono[: j - 1] + (t + 1,) + mono[j:], e)
+                out[key] = out.get(key, 0) + (j - i) * c
+                i = j
+        return self._wrap(_pruned(out))
 
     def multiply_by_u(self) -> "DiffPolynomial":
-        return DiffPolynomial({m.times_u(): c for m, c in self._terms.items()})
+        return self._wrap({((0,) + mono, e): c for (mono, e), c in self._terms.items()})
 
     def apply_factor(self, m: int) -> "DiffPolynomial":
         """Apply the operator factor (∂ − u + mλ)."""
         if m < 0:
             raise ValueError("factor shift m must be non-negative")
-        result = self.differentiate() - self.multiply_by_u()
-        if m:
-            result = result + self.scale(LambdaPolynomial.lam(1, m))
-        return result
+        out = self.differentiate()._terms
+        for (mono, e), c in self._terms.items():
+            key = ((0,) + mono, e)
+            out[key] = out.get(key, 0) - c
+            if m:
+                key = (mono, e + 1)
+                out[key] = out.get(key, 0) + m * c
+        return self._wrap(_pruned(out))
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({c})·{m}" for m, c in self.terms())
+        return f"DiffPolynomial({dict(self.terms())})"

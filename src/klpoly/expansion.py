@@ -20,7 +20,7 @@ from .combinatorics import (
     sum_of_products,
     weight_A_coefficients,
 )
-from .diffalg import DiffMonomial, DiffPolynomial, LambdaPolynomial
+from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial, canonical_monomial
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,16 @@ class LinearPart:
     c: tuple[int, ...]
 
 
-def monomials(j: int, alpha: int) -> list[DiffMonomial]:
+def monomials(j: int, alpha: int) -> list[Monomial]:
     """All degree-j, order-alpha differential monomials: partitions of
-    alpha into at most j parts, zero-padded to length j."""
+    alpha into at most j parts, zero-padded to length j, as sorted tuples."""
 
-    out: list[DiffMonomial] = []
+    out: list[Monomial] = []
 
     def ascending(total: int, slots: int, minimum: int, acc: tuple[int, ...]):
         if slots == 0:
             if total == 0:
-                out.append(DiffMonomial(acc))
+                out.append(acc)
             return
         for v in range(minimum, total + 1):
             ascending(total - v, slots - 1, v, acc + (v,))
@@ -84,27 +84,29 @@ def kl_direct(n: int) -> KLExpansion:
 
 
 @lru_cache(maxsize=None)
-def _p_sums(j: int, alpha: int, k: int) -> dict[DiffMonomial, int]:
+def _p_sums(j: int, alpha: int, k: int) -> dict[Monomial, int]:
     """For each monomial pi, the sum of product rule coefficients P over
-    all compositions in Z(j, alpha, k)."""
-    acc: dict[DiffMonomial, int] = {}
+    all compositions in Z(j, alpha, k).  Words are λ-free."""
+    acc: dict[Monomial, int] = {}
     for beta in enumerate_compositions(j, alpha, k):
-        for mono, coeff in differential_word(beta).terms():
-            acc[mono] = acc.get(mono, 0) + coeff.constant_value()
+        for (mono, _), c in differential_word(beta).items():
+            acc[mono] = acc.get(mono, 0) + c
     return acc
 
 
-def coefficient_closed_form(n: int, j: int, alpha: int, pi: DiffMonomial) -> int:
+def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> int:
     """The integer coefficient of λ^(n-j-α) π in f_{n,λ}(u), by the
     alternating closed form
 
         sum over k in [0, j] of (-1)^(j-k) C(n,k) S(n-k-1, n-j-α) * P-sum(k)
 
-    where the k = 0 summand reads its compositions from Z(j, α, 1).
+    where the k = 0 summand reads its compositions from Z(j, α, 1).  The
+    derivative orders of pi may come in any order.
     """
     if not (1 <= j <= n and 0 <= alpha <= n - j):
         raise ValueError(f"invalid grid point n={n}, j={j}, alpha={alpha}")
-    if pi.degree != j or pi.order != alpha:
+    pi = canonical_monomial(pi)
+    if len(pi) != j or sum(pi) != alpha:
         raise ValueError(f"monomial {pi} does not sit at (j={j}, alpha={alpha})")
     total = 0
     for k in range(j + 1):
@@ -122,16 +124,13 @@ def kl_closed_form(n: int) -> KLExpansion:
     (j, α, π) grid."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    poly = DiffPolynomial.zero()
-    for j in range(1, n + 1):
-        for alpha in range(n - j + 1):
-            for pi in monomials(j, alpha):
-                c = coefficient_closed_form(n, j, alpha, pi)
-                if c:
-                    poly = poly + DiffPolynomial.from_monomial(
-                        pi, LambdaPolynomial.lam(n - j - alpha, c)
-                    )
-    return KLExpansion(n=n, poly=poly, provenance="closed_form")
+    terms = {
+        pi: LambdaPolynomial.lam(n - j - alpha, coefficient_closed_form(n, j, alpha, pi))
+        for j in range(1, n + 1)
+        for alpha in range(n - j + 1)
+        for pi in monomials(j, alpha)
+    }
+    return KLExpansion(n=n, poly=DiffPolynomial(terms), provenance="closed_form")
 
 
 def c_star(n: int, j: int) -> int:
@@ -180,7 +179,7 @@ def linear_part(n: int) -> LinearPart:
     poly = kl_direct(n).poly
     c = []
     for alpha in range(n):
-        lam_poly = poly.coefficient(DiffMonomial((alpha,)))
+        lam_poly = poly.coefficient((alpha,))
         c.append(lam_poly.coeffs.get(n - 1 - alpha, 0))
     return LinearPart(n=n, c=tuple(c))
 

@@ -18,15 +18,20 @@ from .diffalg import DiffPolynomial, LambdaPolynomial
 from .expansion import h_poly, kl_direct
 
 
+def _collect(triples) -> dict:
+    """Sum (key, λ-exponent, coefficient) triples into {key: λ-polynomial},
+    dropping keys whose sum is zero."""
+    grouped: dict = {}
+    for key, e, c in triples:
+        coeffs = grouped.setdefault(key, {})
+        coeffs[e] = coeffs.get(e, 0) + c
+    return {key: lp for key, coeffs in grouped.items() if (lp := LambdaPolynomial(coeffs))}
+
+
 def reduce_first_order(p: DiffPolynomial) -> dict[int, LambdaPolynomial]:
     """Substitute u^(t) -> λ^t u throughout; returns a map from the power of
     u to its λ-polynomial coefficient (empty map = identically zero)."""
-    out: dict[int, LambdaPolynomial] = {}
-    for mono, coeff in p.terms():
-        j = mono.degree
-        contribution = coeff * LambdaPolynomial.lam(mono.order)
-        out[j] = out.get(j, LambdaPolynomial()) + contribution
-    return {j: c for j, c in out.items() if not c.is_zero()}
+    return _collect((len(mono), e + sum(mono), c) for (mono, e), c in p.items())
 
 
 def reduce_second_order(
@@ -34,15 +39,12 @@ def reduce_second_order(
 ) -> dict[tuple[int, int], LambdaPolynomial]:
     """Substitute u^(2t) -> λ^(2t) u and u^(2t+1) -> λ^(2t) u' throughout;
     returns a map (power of u, power of u') -> λ-polynomial coefficient."""
-    out: dict[tuple[int, int], LambdaPolynomial] = {}
-    for mono, coeff in p.terms():
-        u_pow = sum(1 for t in mono.orders if t % 2 == 0)
-        up_pow = sum(1 for t in mono.orders if t % 2 == 1)
-        lam_exp = sum(t - (t % 2) for t in mono.orders)
-        key = (u_pow, up_pow)
-        contribution = coeff * LambdaPolynomial.lam(lam_exp)
-        out[key] = out.get(key, LambdaPolynomial()) + contribution
-    return {key: c for key, c in out.items() if not c.is_zero()}
+
+    def reduced(mono, e, c):
+        up_pow = sum(t % 2 for t in mono)
+        return (len(mono) - up_pow, up_pow), e + sum(mono) - up_pow, c
+
+    return _collect(reduced(mono, e, c) for (mono, e), c in p.items())
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,13 @@ def evaluate_at_exponential(
     derivs: dict[int, complex] = {}
     total = 0j
     scale = 0.0
-    for mono, coeff in p.terms():
+    for (mono, e), c in p.items():
         factor = 1 + 0j
-        for t in mono.orders:
+        for t in mono:
             if t not in derivs:
                 derivs[t] = sol.derivative_at(t, x)
             factor *= derivs[t]
-        term = coeff.evaluate(lam_value) * factor
+        term = c * lam_value**e * factor
         scale = max(scale, abs(term))
         total += term
     return total, scale
@@ -175,9 +177,7 @@ def lambda_zero_pattern(m: int, k: int) -> LambdaZeroVerdict:
     poly = kl_direct(k + 1).poly
     # keep only λ^0 coefficients of degree-1 monomials
     surviving = {
-        mono.orders[0]: coeff.coeffs.get(0, 0)
-        for mono, coeff in poly.terms()
-        if mono.degree == 1 and coeff.coeffs.get(0, 0)
+        mono[0]: c for (mono, e), c in poly.items() if len(mono) == 1 and e == 0
     }
     leading = surviving.get(k, 0)
     only_kth = set(surviving) == {k}

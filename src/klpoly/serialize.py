@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 
-from .diffalg import DiffMonomial, DiffPolynomial, LambdaPolynomial
+from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial
 
 
 def poly_to_obj(p: DiffPolynomial) -> list[dict]:
     return [
         {
-            "orders": list(mono.orders),
+            "orders": list(mono),
             "lambda_coeffs": [[e, str(c)] for e, c in coeff.items()],
         }
         for mono, coeff in p.terms()
@@ -29,12 +29,15 @@ def poly_to_json(p: DiffPolynomial) -> str:
 
 
 def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
-    terms = {}
-    for entry in obj:
-        mono = DiffMonomial(entry["orders"])
-        coeff = LambdaPolynomial({e: int(c) for e, c in entry["lambda_coeffs"]})
-        terms[mono] = coeff
-    return DiffPolynomial(terms)
+    """Inverse of poly_to_obj; raises ValueError on a negative order."""
+    return DiffPolynomial(
+        {
+            tuple(entry["orders"]): LambdaPolynomial(
+                {e: int(c) for e, c in entry["lambda_coeffs"]}
+            )
+            for entry in obj
+        }
+    )
 
 
 def _factor_text(t: int) -> str:
@@ -45,12 +48,11 @@ def _factor_text(t: int) -> str:
     return f"u^({t})"
 
 
-def monomial_text(mono: DiffMonomial) -> str:
-    if not mono.orders:
+def monomial_text(orders: Monomial) -> str:
+    if not orders:
         return "1"
     pieces = []
     i = 0
-    orders = mono.orders
     while i < len(orders):
         t = orders[i]
         count = 1
@@ -71,7 +73,7 @@ def _lambda_text(exp: int) -> str:
     return "λ" if exp == 1 else f"λ^{exp}"
 
 
-def _term_text(mono: DiffMonomial, coeff: LambdaPolynomial) -> tuple[int, str]:
+def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
     """Render one term; returns (sign, body) with sign in {+1, -1}.
 
     A multi-term λ-coefficient is parenthesized and treated as positive.
@@ -83,11 +85,11 @@ def _term_text(mono: DiffMonomial, coeff: LambdaPolynomial) -> tuple[int, str]:
     exp, c = items[0]
     sign = 1 if c > 0 else -1
     pieces = []
-    if abs(c) != 1 or (exp == 0 and not mono.orders):
+    if abs(c) != 1 or (exp == 0 and not mono):
         pieces.append(str(abs(c)))
     if exp:
         pieces.append(_lambda_text(exp))
-    if mono.orders:
+    if mono:
         pieces.append(monomial_text(mono))
     if not pieces:
         pieces.append("1")
@@ -98,9 +100,7 @@ def poly_to_text(p: DiffPolynomial) -> str:
     """Human-readable rendering, higher derivatives first within a degree."""
     if p.is_zero():
         return "0"
-    ordered = sorted(
-        p.terms(), key=lambda kv: (kv[0].degree, -kv[0].order, kv[0].orders)
-    )
+    ordered = sorted(p.terms(), key=lambda kv: (len(kv[0]), -sum(kv[0]), kv[0]))
     out = []
     for i, (mono, coeff) in enumerate(ordered):
         sign, body = _term_text(mono, coeff)

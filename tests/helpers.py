@@ -1,10 +1,8 @@
 """Shared construction helpers for the test suite."""
 
-from klpoly import DiffMonomial, DiffPolynomial, LambdaPolynomial
+from klpoly import DiffPolynomial, LambdaPolynomial
 
 
 def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
     """Build a DiffPolynomial from {orders: {lambda_exponent: coeff}}."""
-    return DiffPolynomial(
-        {DiffMonomial(orders): LambdaPolynomial(lam) for orders, lam in spec.items()}
-    )
+    return DiffPolynomial({orders: LambdaPolynomial(lam) for orders, lam in spec.items()})

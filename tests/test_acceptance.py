@@ -36,7 +36,7 @@ from klpoly import (
     weight_closed_form,
 )
 from klpoly.cli import main
-from klpoly.diffalg import DiffMonomial, DiffPolynomial, LambdaPolynomial
+from klpoly.diffalg import DiffPolynomial, LambdaPolynomial
 from klpoly.reductions import h_at_root_of_unity_numeric
 from klpoly.serialize import poly_to_json
 from math import comb
@@ -81,8 +81,8 @@ def test_criterion_03_n3_both_constructors(capsys):
         closed = kl_closed_form(3)
         expected = DiffPolynomial(
             {
-                DiffMonomial((2,)): LambdaPolynomial.constant(2),
-                DiffMonomial((0,)): LambdaPolynomial.lam(2, -2),
+                (2,): LambdaPolynomial.constant(2),
+                (0,): LambdaPolynomial.lam(2, -2),
             }
         )
         assert direct.poly == expected
@@ -140,7 +140,7 @@ def test_criterion_08_linear_chain(capsys):
             assert h == [lp.c[n - 1 - a] for a in range(n)]
             graded = DiffPolynomial(
                 {
-                    DiffMonomial((a,)): LambdaPolynomial.lam(n - 1 - a, lp.c[a])
+                    (a,): LambdaPolynomial.lam(n - 1 - a, lp.c[a])
                     for a in range(n)
                 }
             )
@@ -168,9 +168,9 @@ def test_criterion_10_lambda_zero(capsys):
         for k in range(1, 11):
             poly = kl_direct(k + 1).poly
             surviving = {
-                mono.orders[0]: coeff.coeffs.get(0, 0)
+                mono[0]: coeff.coeffs.get(0, 0)
                 for mono, coeff in poly.terms()
-                if mono.degree == 1 and coeff.coeffs.get(0, 0)
+                if len(mono) == 1 and coeff.coeffs.get(0, 0)
             }
             assert surviving == {k: k}
     with capsys.disabled():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from klpoly import cli
 from klpoly.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,3 +135,18 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+def test_removed_parallel_option_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "3", "--parallel", "2"])
+    assert exc.value.code == 2
+
+
+def test_verify_calls_suites_through_module_attributes(capsys, monkeypatch):
+    # a wrapper installed on cli.suite_* (a profiler or tracer) sees each run
+    calls = []
+    monkeypatch.setattr(cli, "suite_cstar", lambda n_max: calls.append(n_max) or [])
+    assert run(capsys, ["verify", "cstar", "--n-max", "3"])[0] == 0
+    assert run(capsys, ["verify", "cstar"])[0] == 0
+    assert calls == [3, 8]

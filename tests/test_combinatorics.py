@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from klpoly import (
-    DiffMonomial,
     convolution,
     density,
     differential_word,
@@ -85,16 +84,16 @@ def test_differential_word_base_cases():
 
 def test_product_rule_coefficients():
     beta = (0, 1, 1, 1)
-    assert product_rule_coefficient(beta, DiffMonomial((0, 1, 1, 1))) == 8
-    assert product_rule_coefficient(beta, DiffMonomial((0, 0, 1, 2))) == 14
-    assert product_rule_coefficient(beta, DiffMonomial((0, 0, 0, 3))) == 2
-    assert product_rule_coefficient(beta, DiffMonomial((0, 0, 3, 0))) == 2
-    assert product_rule_coefficient(beta, DiffMonomial((1, 1, 1, 0))) == 8
-    assert product_rule_coefficient(beta, DiffMonomial((3, 0, 0, 0))) == 2
-    assert product_rule_coefficient((3,), DiffMonomial((3,))) == 1
+    assert product_rule_coefficient(beta, (0, 1, 1, 1)) == 8
+    assert product_rule_coefficient(beta, (0, 0, 1, 2)) == 14
+    assert product_rule_coefficient(beta, (0, 0, 0, 3)) == 2
+    assert product_rule_coefficient(beta, (0, 0, 3, 0)) == 2
+    assert product_rule_coefficient(beta, (1, 1, 1, 0)) == 8
+    assert product_rule_coefficient(beta, (3, 0, 0, 0)) == 2
+    assert product_rule_coefficient((3,), (3,)) == 1
     # monomial not occurring in the word
-    assert product_rule_coefficient((2, 0), DiffMonomial((0, 2))) == 1
-    assert product_rule_coefficient((2, 0), DiffMonomial((1, 1))) == 0
+    assert product_rule_coefficient((2, 0), (0, 2)) == 1
+    assert product_rule_coefficient((2, 0), (1, 1)) == 0
 
 
 def test_density_examples():

@@ -1,24 +1,33 @@
-"""Core arithmetic on differential monomials and polynomials."""
+"""Core arithmetic on differential polynomials; a monomial is a sorted tuple."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpoly import DiffMonomial, DiffPolynomial, LambdaPolynomial
+from klpoly import DiffPolynomial, LambdaPolynomial
+from klpoly.serialize import poly_from_obj
 from helpers import dp
 
 
 def test_monomial_canonical_form():
-    assert DiffMonomial((3, 0, 1)).orders == (0, 1, 3)
-    assert DiffMonomial((0, 1, 3)) == DiffMonomial((3, 1, 0))
-    assert DiffMonomial(()).degree == 0
-    m = DiffMonomial((0, 2, 2))
-    assert m.degree == 3 and m.order == 4
+    # the constructor and coefficient() sort the orders they are given
+    p = dp({(3, 0, 1): {0: 2}})
+    assert [m for m, _ in p.terms()] == [(0, 1, 3)]
+    assert p == dp({(0, 1, 3): {0: 2}})
+    assert p.coefficient((1, 3, 0)) == 2
+    # orders naming the same monomial add up
+    assert dp({(0, 2, 2): {1: 1}, (2, 0, 2): {1: 1}}) == dp({(0, 2, 2): {1: 2}})
+    assert DiffPolynomial.u_power(0).terms() == [((), LambdaPolynomial.constant(1))]
+    assert dp({(0, 2, 2): {0: 1}, (5,): {0: 1}}).min_degree() == 1
 
 
 def test_monomial_rejects_negative_orders():
     with pytest.raises(ValueError):
-        DiffMonomial((-1,))
+        dp({(-1,): {0: 1}})
+    with pytest.raises(ValueError):
+        DiffPolynomial.u_power(1).coefficient((2, -1))
+    with pytest.raises(ValueError):
+        poly_from_obj([{"orders": [0, -1], "lambda_coeffs": [[0, "1"]]}])
 
 
 def test_lambda_polynomial_prunes_zeros():
@@ -107,7 +116,7 @@ lambda_polys = st.dictionaries(
 
 monomials = st.lists(
     st.integers(min_value=0, max_value=4), min_size=0, max_size=3
-).map(DiffMonomial)
+).map(tuple)
 
 diff_polys = st.dictionaries(monomials, lambda_polys, max_size=4).map(DiffPolynomial)
 
@@ -117,9 +126,7 @@ diff_polys = st.dictionaries(monomials, lambda_polys, max_size=4).map(DiffPolyno
 def test_leibniz_rule(p):
     # d(u·p) = u'·p + u·dp, where u'-insertion adds a first-derivative factor
     lhs = p.multiply_by_u().differentiate()
-    uprime_insert = DiffPolynomial(
-        {DiffMonomial(m.orders + (1,)): c for m, c in p.terms()}
-    )
+    uprime_insert = DiffPolynomial({m + (1,): c for m, c in p.terms()})
     rhs = p.differentiate().multiply_by_u() + uprime_insert
     assert lhs == rhs
 
