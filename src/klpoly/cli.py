@@ -1,6 +1,8 @@
 """Command-line front end: expansion, tables, and verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an empty
+verification grid included), 3 internal error.  Apart from argparse's own
+usage text, 2 and 3 print one stderr line.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ TABLE_432_ORDER = [
     (0, 3, 0, 0),
 ]
 
-USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _emit(payload: dict, args, text_lines: list[str]) -> None:
@@ -281,21 +284,22 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
     return checks
 
 
-# Suite name -> (runner, default n_max, default m_max); `verify all` runs
+# Suite name -> (runner, default n_max, default m_max, least (n_max, m_max)
+# that leave a grid point, for the bounds the suite takes); `verify all` runs
 # them in this order.  A runner looks its suite up when called, so a wrapper
 # installed on the module attribute (as perfbench's tracer does) sees it.
 SUITES = {
-    "identities": (lambda n, m: suite_identities(n), 8, None),
-    "cstar": (lambda n, m: suite_cstar(n), 8, None),
-    "weights": (lambda n, m: suite_weights(n), 6, None),
-    "linear": (lambda n, m: suite_linear(n), 12, None),
-    "thm5": (lambda n, m: suite_thm5(n, m), 10, 10),
+    "identities": (lambda n, m: suite_identities(n), 8, None, (1,)),
+    "cstar": (lambda n, m: suite_cstar(n), 8, None, (1,)),
+    "weights": (lambda n, m: suite_weights(n), 6, None, (1,)),
+    "linear": (lambda n, m: suite_linear(n), 12, None, (2,)),
+    "thm5": (lambda n, m: suite_thm5(n, m), 10, 10, (3, 3)),
 }
 
 
 def run_suite(name: str, n_max: int | None, m_max: int | None) -> list[dict]:
     """Run one suite; a bound left as None takes the suite's default."""
-    runner, n_default, m_default = SUITES[name]
+    runner, n_default, m_default, _ = SUITES[name]
     return runner(
         n_default if n_max is None else n_max, m_default if m_max is None else m_max
     )
@@ -303,6 +307,11 @@ def run_suite(name: str, n_max: int | None, m_max: int | None) -> list[dict]:
 
 def cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    for name in suites:
+        bounds = zip(("--n-max", "--m-max"), (args.n_max, args.m_max), SUITES[name][3])
+        for option, bound, least in bounds:
+            if bound is not None and bound < least:
+                raise ValueError(f"{option} {bound} leaves {name} empty; need >= {least}")
     start = time.monotonic()
     checks = []
     for name in suites:
@@ -382,12 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; argparse exits 2 itself."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -47,16 +47,16 @@ def enumerate_compositions(j: int, alpha: int, k: int = 1) -> list[Composition]:
 def differential_word(beta: Composition) -> DiffPolynomial:
     """Expand the nested derivative word of beta into differential monomials.
 
-    Built inductively: the length-1 word is u differentiated beta[0] times;
-    each further entry b multiplies by u and differentiates b times.
+    The length-1 word is u differentiated beta[0] times; a longer word is
+    the word of beta[:-1], read from this cache, multiplied by u and
+    differentiated beta[-1] times.  The recursion runs over the length only.
     """
-    w = DiffPolynomial.u_power(1)
-    for _ in range(beta[0]):
+    if len(beta) == 1:
+        w = DiffPolynomial.u_power(1)
+    else:
+        w = differential_word(beta[:-1]).multiply_by_u()
+    for _ in range(beta[-1]):
         w = w.differentiate()
-    for b in beta[1:]:
-        w = w.multiply_by_u()
-        for _ in range(b):
-            w = w.differentiate()
     return w
 
 
@@ -123,20 +123,28 @@ def weight_closed_form(j: int, alpha: int, k: int) -> int:
     return int(total)
 
 
-@lru_cache(maxsize=None)
 def sum_of_products(n: int, alpha: int) -> int:
     """Sum over all alpha-element subsets A of {1, ..., n} of the product
     of A; 1 when alpha = 0, 0 when alpha < 0 or alpha > max(n, 0).
 
-    Computed by the Pascal-like recurrence
-    S(n, a) = S(n-1, a) + n*S(n-1, a-1); cross-validated in the test suite
-    against literal subset enumeration.
+    Read from the row of S(n, ·); cross-validated in the test suite against
+    literal subset enumeration.
     """
     if alpha == 0:
         return 1
     if alpha < 0 or n < 1 or alpha > n:
         return 0
-    return sum_of_products(n - 1, alpha) + n * sum_of_products(n - 1, alpha - 1)
+    return _product_sum_row(n)[alpha]
+
+
+@lru_cache(maxsize=64)
+def _product_sum_row(n: int) -> tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)), built iteratively from S(0, ·) = (1,) by the
+    Pascal-like recurrence S(m, a) = S(m-1, a) + m*S(m-1, a-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1] + [row[a] + m * row[a - 1] for a in range(1, m)] + [m * row[-1]]
+    return tuple(row)
 
 
 def sum_of_products_enumerated(n: int, alpha: int) -> int:

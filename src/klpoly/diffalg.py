@@ -163,6 +163,11 @@ class DiffPolynomial:
         no particular order."""
         return self._terms.items()
 
+    def __getitem__(self, key: tuple[Monomial, int]) -> int:
+        """The integer coefficient of λ^e·π for key (π, e), π sorted; 0 when
+        the term is absent."""
+        return self._terms.get(key, 0)
+
     def terms(self) -> list[tuple[Monomial, LambdaPolynomial]]:
         """(monomial, λ-coefficient) pairs sorted by (degree, order, orders)."""
         grouped: dict[Monomial, dict[int, int]] = {}

@@ -84,14 +84,29 @@ def kl_direct(n: int) -> KLExpansion:
 
 
 @lru_cache(maxsize=None)
-def _p_sums(j: int, alpha: int, k: int) -> dict[Monomial, int]:
-    """For each monomial pi, the sum of product rule coefficients P over
-    all compositions in Z(j, alpha, k).  Words are λ-free."""
-    acc: dict[Monomial, int] = {}
-    for beta in enumerate_compositions(j, alpha, k):
-        for (mono, _), c in differential_word(beta).items():
-            acc[mono] = acc.get(mono, 0) + c
-    return acc
+def _p_sums(j: int, alpha: int, k: int) -> DiffPolynomial:
+    """S_k(j, α), the sum of the differential words of all compositions in
+    Z(j, α, k): its coefficient at π is the sum of the product rule
+    coefficients P over that family.  Words are λ-free.
+
+    A composition ending in 0 contributes u times a word of Z(j−1, α, k);
+    one ending in b > 0 contributes ∂ of the word with that entry lowered
+    to b − 1, a word of Z(j, α−1, k).  So for j > k
+
+        S_k(j, α) = u·S_k(j−1, α) + ∂S_k(j, α−1),   S_k(j, −1) = 0,
+
+    and the row j = k, whose family is the one composition (0, …, 0, α),
+    is the sum of its words.
+    """
+    if j == k:
+        return sum(
+            (differential_word(beta) for beta in enumerate_compositions(k, alpha, k)),
+            DiffPolynomial.zero(),
+        )
+    s = _p_sums(j - 1, alpha, k).multiply_by_u()
+    if alpha:
+        s = s + _p_sums(j, alpha - 1, k).differentiate()
+    return s
 
 
 def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> int:
@@ -113,7 +128,7 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
         s = sum_of_products(n - k - 1, n - j - alpha)
         if s == 0:
             continue
-        p_sum = _p_sums(j, alpha, max(k, 1)).get(pi, 0)
+        p_sum = _p_sums(j, alpha, max(k, 1))[pi, 0]
         total += (-1) ** (j - k) * comb(n, k) * s * p_sum
     return total
 

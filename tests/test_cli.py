@@ -1,9 +1,13 @@
 """CLI behavior: goldens, determinism, exit codes, report schema."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klpoly import cli
 from klpoly.cli import main
@@ -150,3 +154,62 @@ def test_verify_calls_suites_through_module_attributes(capsys, monkeypatch):
     assert run(capsys, ["verify", "cstar", "--n-max", "3"])[0] == 0
     assert run(capsys, ["verify", "cstar"])[0] == 0
     assert calls == [3, 8]
+
+
+def test_empty_grid_is_usage_error(capsys):
+    for argv in (
+        ["verify", "linear", "--n-max", "0"],
+        ["verify", "thm5", "--m-max", "1"],
+        ["verify", "identities", "--n-max", "-1"],
+        ["verify", "all", "--n-max", "2"],  # thm5 needs n >= 3
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(n_max):
+        raise RecursionError("maximum recursion depth exceeded\nwhile calling")
+
+    monkeypatch.setattr(cli, "suite_cstar", broken)
+    assert main(["verify", "cstar", "--n-max", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "internal error: RecursionError: maximum recursion depth exceeded while calling"
+    ]
+
+
+SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "x"])
+ARITY = {"expand": 1, "table": 3, "cstar": 1, "linear": 1, "hpoly": 1}
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from([*ARITY, "verify", "bogus"]))
+    if command == "verify":
+        # both bounds always given and small, so no case runs a default-sized grid
+        suite = draw(st.sampled_from(["all", *cli.SUITES, "bogus"]))
+        args = [suite, "--n-max", draw(SMALL), "--m-max", draw(SMALL)]
+    else:
+        arity = ARITY.get(command, 0)
+        args = draw(st.lists(SMALL, min_size=arity, max_size=arity + 1))
+    flags = ["--format=json", "--no-timing"]
+    flags.append("--closed-form" if command == "expand" else "--bogus")
+    return [command, *args, *draw(st.lists(st.sampled_from(flags), max_size=2, unique=True))]
+
+
+@given(small_argv())
+@settings(max_examples=60, deadline=None)
+def test_random_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            assert exc.code == 2, argv
+            return
+    assert code in {0, 1, 2, 3}, argv
+    if code >= 2:
+        assert len(err.getvalue().splitlines()) == 1, argv

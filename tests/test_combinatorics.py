@@ -82,6 +82,15 @@ def test_differential_word_base_cases():
     assert differential_word((0, 0)) == dp({(0, 0): {0: 1}})
 
 
+def test_differential_word_reuses_cached_prefix():
+    differential_word.cache_clear()
+    differential_word((0, 1, 1, 1))
+    assert differential_word.cache_info().misses == 4  # one per prefix length
+    hits = differential_word.cache_info().hits
+    assert differential_word((0, 1, 1, 2)) == differential_word((0, 1, 1, 1)).differentiate()
+    assert differential_word.cache_info().hits > hits
+
+
 def test_product_rule_coefficients():
     beta = (0, 1, 1, 1)
     assert product_rule_coefficient(beta, (0, 1, 1, 1)) == 8
@@ -171,6 +180,14 @@ def test_sum_of_products_recurrence_matches_enumeration():
     for n in range(1, 13):
         for alpha in range(n + 2):
             assert sum_of_products(n, alpha) == sum_of_products_enumerated(n, alpha)
+
+
+def test_sum_of_products_deep_rows():
+    # e_2(1..n) = n(n+1)(n-1)(3n+2)/24 and e_3(1..n) = C(n+1, 4) C(n+1, 2),
+    # at depths a recursive row would not reach
+    for n in (2, 3, 10, 100, 1500):
+        assert sum_of_products(n, 2) == n * (n + 1) * (n - 1) * (3 * n + 2) // 24
+    assert sum_of_products(1500, 3) == comb(1501, 4) * comb(1501, 2)
 
 
 def test_g_poly_examples():

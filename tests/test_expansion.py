@@ -14,6 +14,8 @@ from klpoly import (
     c_star,
     c_star_factorial_form,
     coefficient_closed_form,
+    differential_word,
+    enumerate_compositions,
     h_poly,
     kernel_exponents,
     kl_closed_form,
@@ -23,6 +25,8 @@ from klpoly import (
     linear_part,
     monomials,
 )
+from klpoly import expansion
+from klpoly.expansion import _p_sums
 from klpoly.serialize import poly_to_json
 from helpers import dp
 
@@ -81,6 +85,35 @@ def test_coefficient_closed_form_values():
 def test_closed_form_matches_direct():
     for n in range(1, 9):
         assert kl_closed_form(n).poly == kl_direct(n).poly
+
+
+def test_closed_form_matches_direct_to_16():
+    for n in range(1, 17):
+        assert kl_closed_form(n).poly == kl_direct(n).poly, f"n={n}"
+
+
+def test_p_sums_recurrence_matches_enumeration():
+    # the small-size oracle of the S_k recurrence: the plain sum of the
+    # words over the enumerated family
+    for j in range(1, 7):
+        for k in range(1, j + 1):
+            for alpha in range(7):
+                words = [differential_word(b) for b in enumerate_compositions(j, alpha, k)]
+                expected = sum(words, DiffPolynomial.zero())
+                assert _p_sums(j, alpha, k) == expected, (j, alpha, k)
+
+
+def test_closed_form_route_never_applies_an_operator_factor(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form route reached the operator route")
+
+    for cached in (kl_closed_form, kl_direct, _p_sums, differential_word):
+        cached.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(DiffPolynomial, "apply_factor", forbidden)
+        patched.setattr(expansion, "kl_direct", forbidden)
+        closed = kl_closed_form(8).poly
+    assert closed == kl_direct(8).poly
 
 
 def test_lambda_grading():
