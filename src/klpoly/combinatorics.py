@@ -63,7 +63,7 @@ def differential_word(beta: Composition) -> DiffPolynomial:
 def product_rule_coefficient(beta: Composition, pi: tuple[int, ...]) -> int:
     """Multiplicity of the monomial pi (derivative orders, in any order) in
     the differential word of beta."""
-    return differential_word(beta).coefficient(pi).constant_value()
+    return differential_word(beta)[pi, 0]
 
 
 def density(beta: Composition) -> int:

@@ -5,42 +5,32 @@ with arbitrary-precision integers c.  A monomial u^(a1)···u^(aj) is the
 plain tuple of its derivative orders, sorted ascending: its length is the
 degree, its sum the order, and () is the constant 1.  A polynomial is one
 flat map (monomial, λ-exponent) -> integer with no zero value stored, so
-equal polynomials have equal maps.  ``LambdaPolynomial`` is the public view
-of the λ-coefficient of one monomial.
+equal polynomials have equal maps.  ``LambdaPolynomial`` is a read-only
+view of the λ-coefficient of one monomial.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
 
 
 class LambdaPolynomial:
-    """Polynomial in λ over the integers, stored as a sparse exponent map.
-
-    Instances are immutable by convention; all arithmetic returns new
-    objects.  Zero coefficients are pruned on construction.
+    """Read-only view of the λ-coefficient of one monomial: a polynomial in
+    λ over the integers, stored as a sparse exponent map with zeros pruned.
+    ``DiffPolynomial.terms()`` and the reductions hand these out; all
+    algebra runs on the flat map of ``DiffPolynomial``.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        cleaned: dict[int, int] = {}
-        for exp, c in dict(coeffs).items():
+        coeffs = dict(coeffs)
+        for exp in coeffs:
             if exp < 0:
                 raise ValueError(f"negative λ exponent: {exp}")
-            if c:
-                cleaned[exp] = cleaned.get(exp, 0) + c
-        self._coeffs = {e: c for e, c in cleaned.items() if c}
-
-    @classmethod
-    def constant(cls, c: int) -> "LambdaPolynomial":
-        return cls({0: c})
-
-    @classmethod
-    def lam(cls, exponent: int = 1, coeff: int = 1) -> "LambdaPolynomial":
-        return cls({exponent: coeff})
+        self._coeffs = {e: c for e, c in coeffs.items() if c}
 
     @property
     def coeffs(self) -> dict[int, int]:
@@ -49,9 +39,6 @@ class LambdaPolynomial:
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs sorted by exponent."""
         return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def constant_value(self) -> int:
         """The value of a λ-free polynomial; raises if λ actually appears."""
@@ -65,37 +52,9 @@ class LambdaPolynomial:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LambdaPolynomial.constant(other)
         if not isinstance(other, LambdaPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        merged = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            merged[e] = merged.get(e, 0) + c
-        return LambdaPolynomial(merged)
-
-    def __neg__(self) -> "LambdaPolynomial":
-        return LambdaPolynomial({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: Union["LambdaPolynomial", int]) -> "LambdaPolynomial":
-        if isinstance(other, int):
-            return LambdaPolynomial({e: c * other for e, c in self._coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LambdaPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -132,14 +91,16 @@ class DiffPolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Iterable[int], LambdaPolynomial] = ()):
-        """Build from {orders: λ-coefficient}; the orders need not be
-        sorted, and orders naming the same monomial add up."""
+    def __init__(self, terms: Mapping[tuple[Iterable[int], int], int] = ()):
+        """Build from the flat map {(orders, λ-exponent): coefficient}; the
+        orders need not be sorted, and keys naming the same term add up.
+        Raises ValueError on a negative order or λ-exponent."""
         flat: dict[tuple[Monomial, int], int] = {}
-        for orders, coeff in dict(terms).items():
-            mono = canonical_monomial(orders)
-            for e, c in coeff._coeffs.items():
-                flat[mono, e] = flat.get((mono, e), 0) + c
+        for (orders, e), c in dict(terms).items():
+            if e < 0:
+                raise ValueError(f"negative λ exponent: {e}")
+            key = (canonical_monomial(orders), e)
+            flat[key] = flat.get(key, 0) + c
         self._terms = _pruned(flat)
 
     @classmethod
@@ -163,10 +124,12 @@ class DiffPolynomial:
         no particular order."""
         return self._terms.items()
 
-    def __getitem__(self, key: tuple[Monomial, int]) -> int:
-        """The integer coefficient of λ^e·π for key (π, e), π sorted; 0 when
-        the term is absent."""
-        return self._terms.get(key, 0)
+    def __getitem__(self, key: tuple[Iterable[int], int]) -> int:
+        """The integer coefficient of λ^e·π for key (π, e), 0 when the term
+        is absent.  The orders of π may come in any order; a negative one
+        raises ValueError."""
+        orders, e = key
+        return self._terms.get((canonical_monomial(orders), e), 0)
 
     def terms(self) -> list[tuple[Monomial, LambdaPolynomial]]:
         """(monomial, λ-coefficient) pairs sorted by (degree, order, orders)."""
@@ -177,10 +140,6 @@ class DiffPolynomial:
             (mono, LambdaPolynomial(grouped[mono]))
             for mono in sorted(grouped, key=lambda m: (len(m), sum(m), m))
         ]
-
-    def coefficient(self, orders: Iterable[int]) -> LambdaPolynomial:
-        mono = canonical_monomial(orders)
-        return LambdaPolynomial({e: c for (m, e), c in self._terms.items() if m == mono})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -210,14 +169,13 @@ class DiffPolynomial:
     def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         return self + (-other)
 
-    def scale(self, c: Union[LambdaPolynomial, int]) -> "DiffPolynomial":
-        factors = c._coeffs.items() if isinstance(c, LambdaPolynomial) else [(0, c)]
-        out: dict[tuple[Monomial, int], int] = {}
-        for (mono, e), coeff in self._terms.items():
-            for e2, c2 in factors:
-                key = (mono, e + e2)
-                out[key] = out.get(key, 0) + coeff * c2
-        return self._wrap(_pruned(out))
+    def scale(self, c: int, lam: int = 0) -> "DiffPolynomial":
+        """Multiply by c·λ^lam."""
+        if lam < 0:
+            raise ValueError(f"negative λ exponent: {lam}")
+        return self._wrap(
+            _pruned({(mono, e + lam): coeff * c for (mono, e), coeff in self._terms.items()})
+        )
 
     def differentiate(self) -> "DiffPolynomial":
         """∂ applied termwise via the product rule; λ is a constant.
@@ -258,4 +216,4 @@ class DiffPolynomial:
         return self._wrap(_pruned(out))
 
     def __repr__(self) -> str:
-        return f"DiffPolynomial({dict(self.terms())})"
+        return f"DiffPolynomial({dict(sorted(self._terms.items()))})"

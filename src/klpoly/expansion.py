@@ -20,7 +20,7 @@ from .combinatorics import (
     sum_of_products,
     weight_A_coefficients,
 )
-from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial, canonical_monomial
+from .diffalg import DiffPolynomial, Monomial, canonical_monomial
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def kl_closed_form(n: int) -> KLExpansion:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     terms = {
-        pi: LambdaPolynomial.lam(n - j - alpha, coefficient_closed_form(n, j, alpha, pi))
+        (pi, n - j - alpha): coefficient_closed_form(n, j, alpha, pi)
         for j in range(1, n + 1)
         for alpha in range(n - j + 1)
         for pi in monomials(j, alpha)
@@ -192,11 +192,7 @@ def linear_part(n: int) -> LinearPart:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     poly = kl_direct(n).poly
-    c = []
-    for alpha in range(n):
-        lam_poly = poly.coefficient((alpha,))
-        c.append(lam_poly.coeffs.get(n - 1 - alpha, 0))
-    return LinearPart(n=n, c=tuple(c))
+    return LinearPart(n=n, c=tuple(poly[(alpha,), n - 1 - alpha] for alpha in range(n)))
 
 
 def c_alpha_formula(n: int, alpha: int) -> int:
@@ -235,8 +231,8 @@ def linear_factorization(n: int) -> DiffPolynomial:
         raise ValueError(f"n must be >= 2, got {n}")
     p = DiffPolynomial.u_power(1)
     for a in range(1, n - 1):
-        p = p.differentiate() + p.scale(LambdaPolynomial.lam(1, a))
-    p = p.differentiate() - p.scale(LambdaPolynomial.lam(1, 1))
+        p = p.differentiate() + p.scale(a, lam=1)
+    p = p.differentiate() - p.scale(1, lam=1)
     return p.scale(n - 1)
 
 

@@ -29,13 +29,13 @@ def poly_to_json(p: DiffPolynomial) -> str:
 
 
 def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
-    """Inverse of poly_to_obj; raises ValueError on a negative order."""
+    """Inverse of poly_to_obj; raises ValueError on a negative order or
+    λ-exponent."""
     return DiffPolynomial(
         {
-            tuple(entry["orders"]): LambdaPolynomial(
-                {e: int(c) for e, c in entry["lambda_coeffs"]}
-            )
+            (tuple(entry["orders"]), e): int(c)
             for entry in obj
+            for e, c in entry["lambda_coeffs"]
         }
     )
 
@@ -76,13 +76,10 @@ def _lambda_text(exp: int) -> str:
 def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
     """Render one term; returns (sign, body) with sign in {+1, -1}.
 
-    A multi-term λ-coefficient is parenthesized and treated as positive.
+    The coefficient must be a single λ-power, as every coefficient of a
+    weight-homogeneous polynomial such as f_{n,λ}(u) is.
     """
-    items = coeff.items()
-    if len(items) > 1:
-        inner = str(coeff)
-        return 1, f"({inner})·{monomial_text(mono)}"
-    exp, c = items[0]
+    (exp, c), = coeff.items()
     sign = 1 if c > 0 else -1
     pieces = []
     if abs(c) != 1 or (exp == 0 and not mono):

@@ -36,7 +36,7 @@ from klpoly import (
     weight_closed_form,
 )
 from klpoly.cli import main
-from klpoly.diffalg import DiffPolynomial, LambdaPolynomial
+from klpoly.diffalg import DiffPolynomial
 from klpoly.reductions import h_at_root_of_unity_numeric
 from klpoly.serialize import poly_to_json
 from math import comb
@@ -79,12 +79,7 @@ def test_criterion_03_n3_both_constructors(capsys):
     with Timer() as t:
         direct = kl_direct(3)
         closed = kl_closed_form(3)
-        expected = DiffPolynomial(
-            {
-                (2,): LambdaPolynomial.constant(2),
-                (0,): LambdaPolynomial.lam(2, -2),
-            }
-        )
+        expected = DiffPolynomial({((2,), 0): 2, ((0,), 2): -2})
         assert direct.poly == expected
         assert closed.poly == expected
         assert poly_to_json(direct.poly) == poly_to_json(closed.poly)
@@ -138,12 +133,7 @@ def test_criterion_08_linear_chain(capsys):
             h = h_poly(n)
             assert all(lp.c[a] == c_alpha_formula(n, a) for a in range(n))
             assert h == [lp.c[n - 1 - a] for a in range(n)]
-            graded = DiffPolynomial(
-                {
-                    (a,): LambdaPolynomial.lam(n - 1 - a, lp.c[a])
-                    for a in range(n)
-                }
-            )
+            graded = DiffPolynomial({((a,), n - 1 - a): lp.c[a] for a in range(n)})
             assert linear_factorization(n) == graded
     with capsys.disabled():
         report(8, "linear coefficients = formula = reversed h = factorization, n <= 12", t, 10.0)

@@ -48,9 +48,16 @@ def test_expand_small_values(capsys):
 
 
 def test_expand_out_of_range(capsys):
-    assert run(capsys, ["expand", "0"])[0] == 2
-    assert run(capsys, ["expand", "11"])[0] == 2
-    assert run(capsys, ["expand", "11", "--max-n", "12"])[0] == 0
+    assert cli.EXPAND_MAX_N == 24
+    for n in ("0", "25"):
+        assert main(["expand", n]) == 2, n
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: n must be in [1, 24]"]
+    # the cap is fixed: the option that once lifted it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "11", "--max-n", "12"])
+    assert exc.value.code == 2
 
 
 def test_table_golden(capsys):
@@ -127,6 +134,26 @@ def test_verify_no_timing_omits_wall_time(capsys):
     assert "wall_time_ms" not in json.loads(out)
 
 
+def test_no_timing_is_a_verify_option_only(capsys):
+    for argv in (
+        ["expand", "3"],
+        ["table", "4", "3", "2"],
+        ["cstar", "3"],
+        ["linear", "3"],
+        ["hpoly", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-timing"])
+        assert exc.value.code == 2, argv
+
+
+def test_verify_all_golden(capsys):
+    # pins every status and detail string, the even-n residuals included
+    code, out = run(capsys, ["verify", "all", "--format", "json", "--no-timing"])
+    assert code == 0
+    assert out == (GOLDEN / "verify_all.json").read_text()
+
+
 def test_verify_suites_pass(capsys):
     assert run(capsys, ["verify", "identities", "--n-max", "6"])[0] == 0
     assert run(capsys, ["verify", "cstar", "--n-max", "6"])[0] == 0
@@ -167,6 +194,30 @@ def test_empty_grid_is_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1, argv
+
+
+def test_verify_bound_above_range_is_usage_error(capsys, monkeypatch):
+    # checked for every suite before any of them runs
+    calls = []
+    for name in cli.SUITES:
+        monkeypatch.setattr(cli, f"suite_{name}", lambda *a: calls.append(a) or [])
+    for argv in (
+        ["verify", "weights", "--n-max", "11"],
+        ["verify", "identities", "--n-max", "25"],
+        ["verify", "cstar", "--n-max", "29"],
+        ["verify", "linear", "--n-max", "25"],
+        ["verify", "thm5", "--n-max", "21"],
+        ["verify", "thm5", "--m-max", "21"],
+        ["verify", "all", "--n-max", "12"],  # inside every range but weights'
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+    assert calls == []
+    assert main(["verify", "weights", "--n-max", "10"]) == 0
+    assert main(["verify", "thm5", "--n-max", "20", "--m-max", "20"]) == 0
+    assert calls == [(10,), (20, 20)]
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

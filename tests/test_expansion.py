@@ -9,7 +9,6 @@ import pytest
 
 from klpoly import (
     DiffPolynomial,
-    LambdaPolynomial,
     c_alpha_formula,
     c_star,
     c_star_factorial_form,
@@ -194,10 +193,7 @@ def test_linear_factorization_matches_linear_part():
     for n in range(2, 13):
         lp = linear_part(n)
         graded = DiffPolynomial(
-            {
-                (alpha,): LambdaPolynomial.lam(n - 1 - alpha, lp.c[alpha])
-                for alpha in range(n)
-            }
+            {((alpha,), n - 1 - alpha): lp.c[alpha] for alpha in range(n)}
         )
         assert linear_factorization(n) == graded
 
