@@ -62,9 +62,22 @@ TABLE_432_ORDER = [
     (0, 3, 0, 0),
 ]
 
-# Largest n that `expand` accepts: kl_direct(24) takes about 1.6 s and
-# kl_closed_form(22) about 0.3 s on 2 vCPUs.
+# Accepted n of the one-n commands, cold on 2 vCPUs: `expand 24` takes
+# 0.7 s direct and 0.9 s by the closed form; `linear 24`, which builds the
+# same kl_direct(24), 0.5 s; `cstar 28` 2.1 s.  `hpoly` stops where its
+# largest coefficient (4113 digits at n = 1500, 1.5 s) still converts to a
+# decimal string under Python's default 4300-digit limit.
 EXPAND_MAX_N = 24
+LINEAR_N = range(2, EXPAND_MAX_N + 1)
+CSTAR_N = range(1, 29)
+HPOLY_N = range(2, 1501)
+
+# `table j alpha k` lists the C(alpha+j-k, j-k) compositions of Z(j, alpha, k),
+# each of length j.  25,000 rows take about 0.9 s and 70 MiB as JSON (92,378
+# rows 2.4 s and 210 MiB); j and alpha at most 30 keep the rows short, the
+# enumeration's recursion shallow and every density below 45 digits.
+TABLE_MAX = 30
+TABLE_MAX_ROWS = 25_000
 
 VERIFY_FAILURE = 1
 USAGE_ERROR = 2
@@ -78,10 +91,13 @@ def _emit(payload: dict, args, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
+def _require_n(n: int, accepted: range) -> None:
+    if n not in accepted:
+        raise ValueError(f"n must be in [{accepted[0]}, {accepted[-1]}]")
+
+
 def cmd_expand(args) -> int:
-    if not 1 <= args.n <= EXPAND_MAX_N:
-        print(f"error: n must be in [1, {EXPAND_MAX_N}]", file=sys.stderr)
-        return USAGE_ERROR
+    _require_n(args.n, range(1, EXPAND_MAX_N + 1))
     expansion = kl_closed_form(args.n) if args.closed_form else kl_direct(args.n)
     payload = {
         "n": args.n,
@@ -94,9 +110,11 @@ def cmd_expand(args) -> int:
 
 def cmd_table(args) -> int:
     j, alpha, k = args.j, args.alpha, args.k
-    if j < 1 or not 1 <= k <= j or alpha < 0:
-        print("error: need j >= 1, 0 <= alpha, 1 <= k <= j", file=sys.stderr)
-        return USAGE_ERROR
+    if not (1 <= k <= j <= TABLE_MAX and 0 <= alpha <= TABLE_MAX):
+        raise ValueError(f"need 1 <= k <= j <= {TABLE_MAX}, 0 <= alpha <= {TABLE_MAX}")
+    count = comb(alpha + j - k, j - k)
+    if count > TABLE_MAX_ROWS:
+        raise ValueError(f"Z({j},{alpha},{k}) has {count} rows, more than {TABLE_MAX_ROWS}")
     rows = enumerate_compositions(j, alpha, k)
     if (j, alpha, k) == (4, 3, 2):
         rows = [tuple(beta) for beta in TABLE_432_ORDER]
@@ -117,9 +135,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_cstar(args) -> int:
-    if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+    _require_n(args.n, CSTAR_N)
     rows = [
         {
             "j": j,
@@ -135,9 +151,7 @@ def cmd_cstar(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
+    _require_n(args.n, LINEAR_N)
     lp = linear_part(args.n)
     payload = {"n": lp.n, "c": list(lp.c)}
     lines = [f"C_{alpha} = {value}" for alpha, value in enumerate(lp.c)]
@@ -146,9 +160,7 @@ def cmd_linear(args) -> int:
 
 
 def cmd_hpoly(args) -> int:
-    if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
+    _require_n(args.n, HPOLY_N)
     coeffs = h_poly(args.n)
     payload = {"n": args.n, "coefficients": coeffs}
     lines = [f"z^{alpha}: {c}" for alpha, c in enumerate(coeffs)]
@@ -289,16 +301,17 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
 
 # Suite name -> (runner, default n_max, default m_max, accepted (n_max, m_max)
 # ranges, for the bounds the suite takes); `verify all` runs them in this
-# order.  A range starts at the least bound that leaves a grid point and ends
-# where a cold run takes about 5 s on 2 vCPUs (identities 24: 5.1 s, cstar
-# 28: 4.3 s, weights 10: 4.3 s, linear 24: 5.0 s, thm5 20/20: 3.1 s).  A
-# runner looks its suite up when called, so a wrapper installed on the module
-# attribute (as perfbench's tracer does) sees it.
+# order.  A range starts at the least bound that leaves a grid point; its end
+# was sized to a cold run of about 5 s on 2 vCPUs.  At the ends a cold run now
+# takes: identities 24 1.3 s, cstar 28 4.6 s, weights 10 4.2 s, linear 24
+# 1.4 s, thm5 20/20 3.0 s.  A runner looks its suite up when called, so a
+# wrapper installed on the module attribute (as perfbench's tracer does) sees
+# it.
 SUITES = {
     "identities": (lambda n, m: suite_identities(n), 8, None, (range(1, 25),)),
-    "cstar": (lambda n, m: suite_cstar(n), 8, None, (range(1, 29),)),
+    "cstar": (lambda n, m: suite_cstar(n), 8, None, (CSTAR_N,)),
     "weights": (lambda n, m: suite_weights(n), 6, None, (range(1, 11),)),
-    "linear": (lambda n, m: suite_linear(n), 12, None, (range(2, 25),)),
+    "linear": (lambda n, m: suite_linear(n), 12, None, (LINEAR_N,)),
     "thm5": (lambda n, m: suite_thm5(n, m), 10, 10, (range(3, 21), range(3, 21))),
 }
 

@@ -1,10 +1,15 @@
 """Construction of the family f_{n,λ}(u) and analysis of its coefficients.
 
-The polynomial is built two independent ways: directly, by applying the
-operator factors (∂ − u + mλ) of the defining formula, and from the
-closed-form coefficient expression built out of product rule coefficients
-and the product sums S(n, α).  Agreement of the two routes is the main
-oracle of the test suite.
+The polynomial is built two independent ways: directly from the defining
+formula, and from the closed-form coefficient expression built out of
+product rule coefficients and the product sums S(n, α).  Agreement of the
+two routes is the main oracle of the test suite.
+
+The operator factors (∂ − u + mλ) of the defining formula differ only by
+scalars, so with E = ∂ − u their product over m < L is the rising factorial
+Σ_a [L, a] λ^(L−a) E^a, [L, a] the unsigned Stirling numbers of the first
+kind.  The direct route therefore iterates the λ-free operator E on u^k and
+weights each power; it never reaches ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -58,18 +63,39 @@ def monomials(j: int, alpha: int) -> list[Monomial]:
     return out
 
 
+def _rising_factorial_row(length: int) -> list[int]:
+    """[length, a] for a = 0..length: the unsigned Stirling numbers of the
+    first kind, coefficients of x(x+1)···(x+length−1), from
+    [m+1, a] = m·[m, a] + [m, a−1]."""
+    row = [1]
+    for m in range(length):
+        row = [m * here + below for here, below in zip(row + [0], [0] + row)]
+    return row
+
+
 def kth_term(n: int, k: int) -> DiffPolynomial:
     """The k-th summand of the defining formula, including its binomial
     factor: C(n,k) times the operator product applied to u^k.
 
-    The factor with the largest shift m = n-k-1 acts first (innermost).
+    With E = ∂ − u and L = n − k the factors E + mλ (m < L) differ by
+    scalars, so they commute and their product is the rising factorial
+    Σ_{a=1..L} [L, a] λ^(L−a) E^a.  E^a u^k is λ-free of degree plus order
+    k + a, so the powers land on disjoint monomials: each is computed once
+    from the last and written at λ-exponent L − a with weight C(n,k)·[L, a].
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    p = DiffPolynomial.u_power(k)
-    for m in range(n - k - 1, -1, -1):
-        p = p.apply_factor(m)
-    return p.scale(comb(n, k))
+    length = n - k
+    row = _rising_factorial_row(length)
+    binom = comb(n, k)
+    word = DiffPolynomial.u_power(k)
+    terms = {}
+    for a in range(1, length + 1):
+        word = word.apply_factor(0)
+        weight = binom * row[a]
+        for (mono, _), c in word.items():
+            terms[mono, length - a] = weight * c
+    return DiffPolynomial._wrap(terms)
 
 
 @lru_cache(maxsize=None)

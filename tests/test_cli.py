@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from klpoly import cli
 from klpoly.cli import main
+from klpoly.expansion import LinearPart, h_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +59,55 @@ def test_expand_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "11", "--max-n", "12"])
     assert exc.value.code == 2
+
+
+def test_one_n_commands_check_their_range_before_any_work(capsys, monkeypatch):
+    # the work is stubbed: only the range check is under test
+    work = []
+    stubs = {
+        "linear_part": lambda n: work.append(n) or LinearPart(n, (0,) * n),
+        "c_star": lambda n, j: work.append(n) or 0,
+        "c_star_factorial_form": lambda n, j: 0,
+        "h_poly": lambda n: work.append(n) or [0],
+    }
+    for name, stub in stubs.items():
+        monkeypatch.setattr(cli, name, stub)
+    for command, low, high in (("linear", 2, 24), ("cstar", 1, 28), ("hpoly", 2, 1500)):
+        for n in (low - 1, high + 1):
+            assert main([command, str(n)]) == 2, (command, n)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: n must be in [{low}, {high}]"]
+        assert work == []
+        for n in (low, high):
+            assert main([command, str(n)]) == 0, (command, n)
+            assert set(work) == {n}, (command, n)
+            work.clear()
+        capsys.readouterr()
+
+
+def test_hpoly_cap_prints_every_coefficient():
+    # Python's default limit on int-to-decimal conversion is 4300 digits
+    digits = [len(str(abs(c))) for c in h_poly(cli.HPOLY_N[-1])]
+    assert max(digits) <= 4300
+
+
+def test_table_checks_its_size_before_enumerating(capsys, monkeypatch):
+    enumerated = []
+    monkeypatch.setattr(
+        cli, "enumerate_compositions", lambda *shape: enumerated.append(shape) or []
+    )
+    monkeypatch.setattr(cli, "weight", lambda *shape: 0)
+    for shape in ((31, 0, 1), (30, 31, 30), (10, 9, 1), (2, 30, 0)):
+        assert main(["table", *map(str, shape)]) == 2, shape
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, shape
+    assert enumerated == []
+    # C(30, 0) = 1 row, C(9+9-1, 9-1) = 24,310 rows: both within the caps
+    for shape in ((30, 30, 30), (9, 9, 1)):
+        assert main(["table", *map(str, shape)]) == 0, shape
+    assert enumerated == [(30, 30, 30), (9, 9, 1)]
 
 
 def test_table_golden(capsys):

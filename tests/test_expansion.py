@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,17 @@ def test_kth_term_n3_k2():
     assert kth_term(3, 2) == dp({(0, 1): {0: 6}, (0, 0, 0): {0: -3}})
 
 
+def test_kth_term_matches_the_operator_chain():
+    # the definition: C(n,k)·D_0(D_1(…D_{n−k−1}(u^k))), D_m = ∂ − u + mλ,
+    # one factor at a time on the λ-graded partial product
+    for n in range(1, 15):
+        for k in range(n):
+            p = DiffPolynomial.u_power(k)
+            for m in range(n - k - 1, -1, -1):
+                p = p.apply_factor(m)
+            assert kth_term(n, k) == p.scale(comb(n, k)), (n, k)
+
+
 def test_kl_direct_small():
     assert kl_direct(1).poly.is_zero()
     assert kl_direct(2).poly == dp({(1,): {0: 1}, (0,): {1: -1}})
@@ -113,6 +125,27 @@ def test_closed_form_route_never_applies_an_operator_factor(monkeypatch):
         patched.setattr(expansion, "kl_direct", forbidden)
         closed = kl_closed_form(8).poly
     assert closed == kl_direct(8).poly
+
+
+def test_direct_route_never_reaches_the_closed_form(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct route reached the closed-form route")
+
+    for cached in (kl_direct, _p_sums, differential_word):
+        cached.cache_clear()
+    names = (
+        "sum_of_products",
+        "differential_word",
+        "enumerate_compositions",
+        "weight_A_coefficients",
+        "_p_sums",
+    )
+    with monkeypatch.context() as patched:
+        for name in names:
+            patched.setattr(expansion, name, forbidden)
+        text = poly_to_json(kl_direct(12).poly)
+    golden = json.loads((GOLDEN / "direct_sha256.json").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["12"]
 
 
 def test_lambda_grading():
@@ -231,11 +264,13 @@ def test_argument_validation():
 
 
 def test_direct_route_matches_golden_digests():
-    # SHA-256 of poly_to_json(kl_direct(n).poly), frozen before the kernel
-    # was shared by both routes: a kernel bug common to the direct and the
-    # closed-form route would still change these bytes.
+    # SHA-256 of poly_to_json(kl_direct(n).poly); n ≤ 15 frozen before the
+    # kernel was shared by both routes, so a kernel bug common to the direct
+    # and the closed-form route would still change these bytes, and
+    # 16 ≤ n ≤ 20 from the factor-by-factor route before kth_term expanded
+    # the factor product.
     golden = json.loads((GOLDEN / "direct_sha256.json").read_text())
-    assert sorted(map(int, golden)) == list(range(1, 16))
+    assert sorted(map(int, golden)) == list(range(1, 21))
     for n, digest in golden.items():
         text = poly_to_json(kl_direct(int(n)).poly)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, f"n={n}"
