@@ -37,7 +37,6 @@ from .reductions import (
     ExpSolution,
     evaluate_at_exponential,
     lambda_zero_pattern,
-    linear_part_at_root_of_unity,
     reduce_first_order,
     reduce_second_order,
     thm5_verdict,

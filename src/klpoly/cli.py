@@ -304,7 +304,7 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
 # order.  A range starts at the least bound that leaves a grid point; its end
 # was sized to a cold run of about 5 s on 2 vCPUs.  At the ends a cold run now
 # takes: identities 24 1.3 s, cstar 28 4.6 s, weights 10 4.2 s, linear 24
-# 1.4 s, thm5 20/20 3.0 s.  A runner looks its suite up when called, so a
+# 1.4 s, thm5 20/20 1.6 s.  A runner looks its suite up when called, so a
 # wrapper installed on the module attribute (as perfbench's tracer does) sees
 # it.
 SUITES = {
@@ -326,6 +326,8 @@ def run_suite(name: str, n_max: int | None, m_max: int | None) -> list[dict]:
 
 def cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.m_max is not None and all(len(SUITES[name][3]) < 2 for name in suites):
+        raise ValueError(f"{args.suite} takes no --m-max")
     for name in suites:
         bounds = zip(("--n-max", "--m-max"), (args.n_max, args.m_max), SUITES[name][3])
         for option, bound, accepted in bounds:

@@ -154,9 +154,6 @@ class DiffPolynomial:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         out = dict(self._terms)
         for key, c in other._terms.items():

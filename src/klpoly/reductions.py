@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
 
 import mpmath
 
 from .diffalg import DiffPolynomial, LambdaPolynomial
-from .expansion import h_poly, kl_direct
+from .expansion import kl_direct, linear_part
 
 
 def _collect(triples) -> dict:
@@ -100,55 +102,49 @@ def evaluate_at_exponential(
     return total, scale
 
 
-@dataclass(frozen=True)
-class RootVerdict:
-    """Whether the linear-part generating polynomial vanishes at ζ^r, and
-    the linear factor responsible when it does."""
+def _divmod_monic(a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b over ℤ; coefficient
+    sequences run from z^0 up."""
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = q = rem[i + len(b) - 1]
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return quot, rem[: len(b) - 1]
 
-    n: int
-    modulus: int
-    r: int
-    is_zero: bool
-    factor: str | None  # "1-z", "1+z", or None
 
-
-def linear_part_at_root_of_unity(n: int, m: int, r: int) -> RootVerdict:
-    """Exact verdict on h_{n-1}(ζ^r) for ζ a primitive m-th root of unity.
-
-    The factored form (n-1)(1-z) ∏ (1+az) vanishes at a point on the unit
-    circle only through (1-z) at z = 1 or (1+z) at z = -1: a factor
-    (1+az) with a >= 2 has its root at -1/a, inside the circle.
-    """
-    if n < 3 or m < 3:
-        raise ValueError(f"need n >= 3 and m >= 3, got n={n}, m={m}")
-    if not 0 <= r < m:
-        raise ValueError(f"need 0 <= r < m, got r={r}")
-    if r % m == 0:
-        return RootVerdict(n, m, r, True, "1-z")
-    if (2 * r) % m == 0:
-        # ζ^r = -1; the (1+z) factor exists for n >= 3
-        return RootVerdict(n, m, r, True, "1+z")
-    return RootVerdict(n, m, r, False, None)
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Φ_d from z^0 up: z^d − 1 divided exactly by Φ_e for every proper
+    divisor e of d."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _divmod_monic(p, cyclotomic(e))[0]
+    return tuple(p)
 
 
 def thm5_verdict(n: int, m: int) -> set[int]:
-    """Rate indices r whose exponential e^(λ ζ^r x) survives in the kernel
-    of the linear part: {0} for odd m, {0, m/2} for even m."""
-    return {
-        r for r in range(m) if linear_part_at_root_of_unity(n, m, r).is_zero
+    """Rate indices r whose exponential e^(λ ζ^r x), ζ a primitive m-th root
+    of unity, survives in the kernel of the built linear part: h(ζ^r) = 0
+    for h(z) = Σ c[n−1−α] z^α.  ζ^r has order d = m / gcd(r, m), so that
+    holds exactly when Φ_d divides h over ℤ."""
+    if n < 3 or m < 3:
+        raise ValueError(f"need n >= 3 and m >= 3, got n={n}, m={m}")
+    h = linear_part(n).c[::-1]
+    zero_orders = {
+        d for d in range(1, m + 1) if m % d == 0 and not any(_divmod_monic(h, cyclotomic(d))[1])
     }
+    return {r for r in range(m) if m // gcd(r, m) in zero_orders}
 
 
 def h_at_root_of_unity_numeric(n: int, m: int, r: int, dps: int = 110) -> mpmath.mpf:
-    """|h_{n-1}(ζ^r)| computed at high precision, as a cross-check on the
-    exact verdicts."""
+    """|h(ζ^r)| for the built linear part, by Horner at high precision, as
+    a cross-check on the exact verdicts."""
     with mpmath.workdps(dps):
-        zeta_r = mpmath.exp(2j * mpmath.pi * r / m)
-        coeffs = h_poly(n)
-        value = mpmath.fsum(
-            [c * zeta_r**alpha for alpha, c in enumerate(coeffs)], absolute=False
-        )
-        return abs(value)
+        zeta_r = mpmath.expjpi(mpmath.mpf(2 * r) / m)
+        return abs(mpmath.polyval(linear_part(n).c, zeta_r))
 
 
 @dataclass(frozen=True)

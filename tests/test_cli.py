@@ -3,14 +3,16 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpoly import cli
+from klpoly import cli, expansion, reductions
 from klpoly.cli import main
+from klpoly.diffalg import DiffPolynomial
 from klpoly.expansion import LinearPart, h_poly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -212,6 +214,56 @@ def test_verify_suites_pass(capsys):
     assert run(capsys, ["verify", "linear", "--n-max", "8"])[0] == 0
 
 
+def perturb_direct(monkeypatch):
+    # 1 more λ^(n-1)·u in every kl_direct(n), on each module that binds it
+    original = expansion.kl_direct
+
+    def perturbed(n):
+        built = original(n)
+        return replace(built, poly=built.poly + DiffPolynomial({((0,), n - 1): 1}))
+
+    for module in (cli, expansion, reductions):
+        monkeypatch.setattr(module, "kl_direct", perturbed)
+
+
+def perturb_closed_form(monkeypatch):
+    original = expansion.coefficient_closed_form
+    monkeypatch.setattr(
+        expansion,
+        "coefficient_closed_form",
+        lambda n, j, alpha, pi: original(n, j, alpha, pi) + ((j, alpha) == (2, 1)),
+    )
+
+
+def perturb_weight(monkeypatch):
+    original = cli.weight_closed_form
+    monkeypatch.setattr(
+        cli,
+        "weight_closed_form",
+        lambda j, alpha, k: original(j, alpha, k) + ((j, alpha, k) == (2, 1, 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, bounds, perturb",
+    [
+        ("identities", ["--n-max", "3"], perturb_direct),
+        ("linear", ["--n-max", "3"], perturb_direct),
+        ("thm5", ["--n-max", "3", "--m-max", "3"], perturb_direct),
+        ("cstar", ["--n-max", "3"], perturb_closed_form),
+        ("weights", ["--n-max", "2"], perturb_weight),
+    ],
+)
+def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bounds, perturb):
+    # a negative control: every suite reads the values it checks
+    argv = ["verify", suite, *bounds]
+    assert run(capsys, argv)[0] == 0
+    perturb(monkeypatch)
+    code, out = run(capsys, argv)
+    assert code == 1, out
+    assert "FAIL" in out
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
@@ -259,6 +311,11 @@ def test_verify_bound_above_range_is_usage_error(capsys, monkeypatch):
         ["verify", "thm5", "--n-max", "21"],
         ["verify", "thm5", "--m-max", "21"],
         ["verify", "all", "--n-max", "12"],  # inside every range but weights'
+        # only thm5 takes an m bound
+        ["verify", "identities", "--n-max", "1", "--m-max", "-5"],
+        ["verify", "cstar", "--n-max", "1", "--m-max", "3"],
+        ["verify", "weights", "--n-max", "1", "--m-max", "3"],
+        ["verify", "linear", "--n-max", "2", "--m-max", "3"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -267,7 +324,8 @@ def test_verify_bound_above_range_is_usage_error(capsys, monkeypatch):
     assert calls == []
     assert main(["verify", "weights", "--n-max", "10"]) == 0
     assert main(["verify", "thm5", "--n-max", "20", "--m-max", "20"]) == 0
-    assert calls == [(10,), (20, 20)]
+    assert main(["verify", "all", "--n-max", "3", "--m-max", "3"]) == 0
+    assert calls == [(10,), (20, 20), (3,), (3,), (3,), (3,), (3, 3)]
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
@@ -290,9 +348,12 @@ ARITY = {"expand": 1, "table": 3, "cstar": 1, "linear": 1, "hpoly": 1}
 def small_argv(draw):
     command = draw(st.sampled_from([*ARITY, "verify", "bogus"]))
     if command == "verify":
-        # both bounds always given and small, so no case runs a default-sized grid
+        # bounds always small, so no case runs a default-sized grid; only all
+        # and thm5 take --m-max, so elsewhere it is given half the time
         suite = draw(st.sampled_from(["all", *cli.SUITES, "bogus"]))
-        args = [suite, "--n-max", draw(SMALL), "--m-max", draw(SMALL)]
+        args = [suite, "--n-max", draw(SMALL)]
+        if suite in ("all", "thm5") or draw(st.booleans()):
+            args += ["--m-max", draw(SMALL)]
     else:
         arity = ARITY.get(command, 0)
         args = draw(st.lists(SMALL, min_size=arity, max_size=arity + 1))

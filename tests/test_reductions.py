@@ -10,12 +10,11 @@ from klpoly import (
     evaluate_at_exponential,
     kl_direct,
     lambda_zero_pattern,
-    linear_part_at_root_of_unity,
     reduce_first_order,
     reduce_second_order,
     thm5_verdict,
 )
-from klpoly.reductions import h_at_root_of_unity_numeric
+from klpoly.reductions import cyclotomic, h_at_root_of_unity_numeric
 from helpers import dp
 
 
@@ -107,23 +106,46 @@ def test_numeric_consistency_random():
         samples += 1
 
 
-def test_root_of_unity_verdicts():
-    v = linear_part_at_root_of_unity(5, 4, 2)
-    assert v.is_zero and v.factor == "1+z"
-    v = linear_part_at_root_of_unity(5, 3, 1)
-    assert not v.is_zero and v.factor is None
-    v = linear_part_at_root_of_unity(4, 5, 0)
-    assert v.is_zero and v.factor == "1-z"
+def test_cyclotomic_polynomials():
+    known = {
+        1: (-1, 1),
+        2: (1, 1),
+        3: (1, 1, 1),
+        4: (1, 0, 1),
+        5: (1, 1, 1, 1, 1),
+        6: (1, -1, 1),
+        7: (1,) * 7,
+        8: (1, 0, 0, 0, 1),
+        9: (1, 0, 0, 1, 0, 0, 1),
+        10: (1, -1, 1, -1, 1),
+        11: (1,) * 11,
+        12: (1, 0, -1, 0, 1),
+    }
+    assert {d: cyclotomic(d) for d in known} == known
+    for big_n in range(1, 31):
+        product = [1]
+        for d in range(1, big_n + 1):
+            if big_n % d == 0:
+                phi = cyclotomic(d)
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, a in enumerate(product):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (big_n - 1) + [1], big_n
 
 
 def test_thm5_verdicts():
     assert thm5_verdict(4, 3) == {0}
     assert thm5_verdict(4, 4) == {0, 2}
     assert thm5_verdict(6, 5) == {0}
-    for n in range(3, 11):
-        for m in range(3, 11):
+    for n in range(3, 21):
+        for m in range(3, 21):
             expected = {0} if m % 2 else {0, m // 2}
-            assert thm5_verdict(n, m) == expected
+            assert thm5_verdict(n, m) == expected, (n, m)
+    for n, m in ((2, 4), (4, 2)):
+        with pytest.raises(ValueError):
+            thm5_verdict(n, m)
 
 
 def test_numeric_crosscheck_at_100_digits():
