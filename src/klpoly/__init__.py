@@ -34,8 +34,6 @@ from .expansion import (
     monomials,
 )
 from .reductions import (
-    ExpSolution,
-    evaluate_at_exponential,
     lambda_zero_pattern,
     reduce_first_order,
     reduce_second_order,

@@ -5,19 +5,23 @@ u^(t) -> λ^t u (first order) or its even/odd split (second order) turns a
 differential polynomial into an ordinary polynomial whose identical
 vanishing is equivalent to vanishing on every solution of the quotient
 equation, because the initial values u(x0) (and u'(x0)) are free.
+
+mpmath is imported only by the high-precision cross-check of the thm5
+suite, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .diffalg import DiffPolynomial, LambdaPolynomial
 from .expansion import kl_direct, linear_part
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 def _collect(triples) -> dict:
@@ -47,59 +51,6 @@ def reduce_second_order(
         return (len(mono) - up_pow, up_pow), e + sum(mono) - up_pow, c
 
     return _collect(reduced(mono, e, c) for (mono, e), c in p.items())
-
-
-@dataclass(frozen=True)
-class ExpSolution:
-    """u(x) = sum of amplitude * e^(λ ζ^r x) over (amplitude, r) pairs,
-    with ζ a primitive m-th root of unity."""
-
-    terms: tuple[tuple[complex, int], ...]
-    modulus: int
-    lam: complex
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        rates = [r for _, r in self.terms]
-        if len(set(rates)) != len(rates):
-            raise ValueError("rate indices must be distinct")
-        if any(not 0 <= r < self.modulus for r in rates):
-            raise ValueError("rate indices must lie in [0, modulus)")
-
-    def rate(self, r: int) -> complex:
-        zeta = cmath.exp(2j * cmath.pi / self.modulus)
-        return self.lam * zeta**r
-
-    def derivative_at(self, t: int, x: complex) -> complex:
-        return sum(
-            beta * self.rate(r) ** t * cmath.exp(self.rate(r) * x)
-            for beta, r in self.terms
-        )
-
-
-def evaluate_at_exponential(
-    p: DiffPolynomial, sol: ExpSolution, x: complex, lam: complex | None = None
-) -> tuple[complex, float]:
-    """Numerically evaluate p at the exponential-sum solution.
-
-    Returns (value, scale) where scale is the largest absolute summand
-    encountered, for use as the reference of a relative tolerance.
-    """
-    lam_value = sol.lam if lam is None else lam
-    derivs: dict[int, complex] = {}
-    total = 0j
-    scale = 0.0
-    for (mono, e), c in p.items():
-        factor = 1 + 0j
-        for t in mono:
-            if t not in derivs:
-                derivs[t] = sol.derivative_at(t, x)
-            factor *= derivs[t]
-        term = c * lam_value**e * factor
-        scale = max(scale, abs(term))
-        total += term
-    return total, scale
 
 
 def _divmod_monic(a, b) -> tuple[list[int], list[int]]:
@@ -139,12 +90,26 @@ def thm5_verdict(n: int, m: int) -> set[int]:
     return {r for r in range(m) if m // gcd(r, m) in zero_orders}
 
 
-def h_at_root_of_unity_numeric(n: int, m: int, r: int, dps: int = 110) -> mpmath.mpf:
-    """|h(ζ^r)| for the built linear part, by Horner at high precision, as
-    a cross-check on the exact verdicts."""
+@lru_cache(maxsize=32)
+def _roots_of_unity(m: int, dps: int) -> tuple:
+    """ζ^k for k = 0..m−1, ζ = e^(2πi/m), at dps digits; the cache holds
+    every modulus of a `verify thm5` grid (m = 3..20)."""
+    import mpmath
+
     with mpmath.workdps(dps):
-        zeta_r = mpmath.expjpi(mpmath.mpf(2 * r) / m)
-        return abs(mpmath.polyval(linear_part(n).c, zeta_r))
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * k) / m) for k in range(m))
+
+
+def h_at_root_of_unity_numeric(n: int, m: int, r: int, dps: int = 110) -> mpmath.mpf:
+    """|h(ζ^r)| for the built linear part, at high precision, as a
+    cross-check on the exact verdicts: h(ζ^r) = Σ c[i] ζ^(r(n−1−i)), one dot
+    product of the integer coefficients with the reduced powers of ζ."""
+    import mpmath
+
+    c = linear_part(n).c
+    roots = _roots_of_unity(m, dps)
+    with mpmath.workdps(dps):
+        return abs(mpmath.fdot(c, [roots[r * (n - 1 - i) % m] for i in range(n)]))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and the numeric solution model of the test
+suite."""
+
+import cmath
+from dataclasses import dataclass
 
 from klpoly import DiffPolynomial
 
@@ -8,3 +12,56 @@ def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
     return DiffPolynomial(
         {(orders, e): c for orders, lam in spec.items() for e, c in lam.items()}
     )
+
+
+@dataclass(frozen=True)
+class ExpSolution:
+    """u(x) = sum of amplitude * e^(λ ζ^r x) over (amplitude, r) pairs,
+    with ζ a primitive m-th root of unity."""
+
+    terms: tuple[tuple[complex, int], ...]
+    modulus: int
+    lam: complex
+
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        rates = [r for _, r in self.terms]
+        if len(set(rates)) != len(rates):
+            raise ValueError("rate indices must be distinct")
+        if any(not 0 <= r < self.modulus for r in rates):
+            raise ValueError("rate indices must lie in [0, modulus)")
+
+    def rate(self, r: int) -> complex:
+        zeta = cmath.exp(2j * cmath.pi / self.modulus)
+        return self.lam * zeta**r
+
+    def derivative_at(self, t: int, x: complex) -> complex:
+        return sum(
+            beta * self.rate(r) ** t * cmath.exp(self.rate(r) * x)
+            for beta, r in self.terms
+        )
+
+
+def evaluate_at_exponential(
+    p: DiffPolynomial, sol: ExpSolution, x: complex, lam: complex | None = None
+) -> tuple[complex, float]:
+    """Numerically evaluate p at the exponential-sum solution.
+
+    Returns (value, scale) where scale is the largest absolute summand
+    encountered, for use as the reference of a relative tolerance.
+    """
+    lam_value = sol.lam if lam is None else lam
+    derivs: dict[int, complex] = {}
+    total = 0j
+    scale = 0.0
+    for (mono, e), c in p.items():
+        factor = 1 + 0j
+        for t in mono:
+            if t not in derivs:
+                derivs[t] = sol.derivative_at(t, x)
+            factor *= derivs[t]
+        term = c * lam_value**e * factor
+        scale = max(scale, abs(term))
+        total += term
+    return total, scale

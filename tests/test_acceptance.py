@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from klpoly import (
-    ExpSolution,
     c_alpha_formula,
     c_star,
     c_star_factorial_form,
@@ -19,7 +18,6 @@ from klpoly import (
     convolution,
     density,
     differential_word,
-    evaluate_at_exponential,
     factorial_sum_check,
     g_poly,
     h_poly,
@@ -40,6 +38,8 @@ from klpoly.diffalg import DiffPolynomial
 from klpoly.reductions import h_at_root_of_unity_numeric
 from klpoly.serialize import poly_to_json
 from math import comb
+
+from helpers import ExpSolution, evaluate_at_exponential
 
 
 class Timer:

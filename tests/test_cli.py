@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -262,6 +265,73 @@ def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bou
     code, out = run(capsys, argv)
     assert code == 1, out
     assert "FAIL" in out
+
+
+def check_status(capsys, argv, check):
+    code, out = run(capsys, [*argv, "--format", "json", "--no-timing"])
+    statuses = {c["check"]: c["status"] for c in json.loads(out)["checks"]}
+    return code, statuses[check]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        # an asymmetric verdict: rate 1 is inside the evaluated half, rate 2
+        # only its mirror, so both are compared with the verdict
+        ("thm5_verdict", lambda n, m: {0, 1}),
+        ("thm5_verdict", lambda n, m: {0, 2}),
+        ("h_at_root_of_unity_numeric", lambda n, m, r: 0),
+    ],
+)
+def test_numeric_crosscheck_fails_on_a_changed_side(capsys, monkeypatch, name, value):
+    argv = ["verify", "thm5", "--n-max", "3", "--m-max", "3"]
+    assert check_status(capsys, argv, "numeric-crosscheck n=3 m=3") == (0, "pass")
+    monkeypatch.setattr(cli, name, value)
+    assert check_status(capsys, argv, "numeric-crosscheck n=3 m=3") == (1, "fail")
+
+
+def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch):
+    # 1 more λ^0·u^(n−1) in every kl_direct(n), which the λ = 0 slice reads
+    original = expansion.kl_direct
+
+    def perturbed(n):
+        built = original(n)
+        return replace(built, poly=built.poly + DiffPolynomial({((n - 1,), 0): 1}))
+
+    argv = ["verify", "linear", "--n-max", "3"]
+    assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (0, "pass")
+    for module in (cli, expansion, reductions):
+        monkeypatch.setattr(module, "kl_direct", perturbed)
+    assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (1, "fail")
+
+
+def test_verify_thm5_20_golden(capsys):
+    # the largest thm5 grid, every rate of every modulus 3..20
+    argv = ["verify", "thm5", "--n-max", "20", "--m-max", "20", "--format", "json", "--no-timing"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / "verify_thm5_20.json").read_text()
+
+
+def test_only_the_thm5_crosscheck_loads_mpmath():
+    script = (
+        "import sys, contextlib, io\n"
+        "from klpoly.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['expand', '4'], ['table', '4', '3', '2'], ['linear', '5'],\n"
+        "                 ['cstar', '4'], ['hpoly', '5'], ['verify', 'linear', '--n-max', '4']):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print('mpmath' in sys.modules, file=sys.stderr)\n"
+        "    main(['verify', 'thm5', '--n-max', '3', '--m-max', '3'])\n"
+        "print('mpmath' in sys.modules, file=sys.stderr)\n"
+    )
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.split() == ["False", "True"]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

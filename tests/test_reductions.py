@@ -2,20 +2,20 @@
 
 import random
 
+import mpmath
 import pytest
 
 from klpoly import (
-    ExpSolution,
     differential_word,
-    evaluate_at_exponential,
     kl_direct,
     lambda_zero_pattern,
+    linear_part,
     reduce_first_order,
     reduce_second_order,
     thm5_verdict,
 )
 from klpoly.reductions import cyclotomic, h_at_root_of_unity_numeric
-from helpers import dp
+from helpers import ExpSolution, dp, evaluate_at_exponential
 
 
 def test_first_identity_exact():
@@ -158,6 +158,17 @@ def test_numeric_crosscheck_at_100_digits():
                     assert magnitude < 1e-50
                 else:
                     assert magnitude > 1e-50
+
+
+def test_numeric_crosscheck_matches_horner():
+    # the oracle evaluates h at ζ^r itself, by Horner over the coefficients
+    for n in range(2, 13):
+        c = linear_part(n).c
+        for m in range(1, 13):
+            for r in range(m):
+                with mpmath.workdps(110):
+                    horner = abs(mpmath.polyval(c, mpmath.expjpi(mpmath.mpf(2 * r) / m)))
+                    assert abs(h_at_root_of_unity_numeric(n, m, r) - horner) < 1e-90, (n, m, r)
 
 
 def test_lambda_zero_pattern():
