@@ -36,6 +36,7 @@ from .expansion import (
 from .reductions import (
     lambda_zero_pattern,
     reduce_first_order,
+    reduce_order,
     reduce_second_order,
     thm5_verdict,
 )

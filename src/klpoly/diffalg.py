@@ -19,8 +19,8 @@ Monomial = tuple[int, ...]
 class LambdaPolynomial:
     """Read-only view of the λ-coefficient of one monomial: a polynomial in
     λ over the integers, stored as a sparse exponent map with zeros pruned.
-    ``DiffPolynomial.terms()`` and the reductions hand these out; all
-    algebra runs on the flat map of ``DiffPolynomial``.
+    Only ``DiffPolynomial.terms()`` hands these out; all algebra runs on the
+    flat map of ``DiffPolynomial``.
     """
 
     __slots__ = ("_coeffs",)
@@ -141,8 +141,8 @@ class DiffPolynomial:
             for mono in sorted(grouped, key=lambda m: (len(m), sum(m), m))
         ]
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def min_degree(self) -> int | None:
         if not self._terms:

@@ -103,9 +103,11 @@ def kl_direct(n: int) -> KLExpansion:
     """Build f_{n,λ}(u) by direct operator application."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    poly = DiffPolynomial.u_power(n)
+    terms = {((0,) * n, 0): 1}
     for k in range(n):
-        poly = poly + kth_term(n, k)
+        for key, c in kth_term(n, k).items():
+            terms[key] = terms.get(key, 0) + c
+    poly = DiffPolynomial._wrap({key: c for key, c in terms.items() if c})
     return KLExpansion(n=n, poly=poly, provenance="direct")
 
 

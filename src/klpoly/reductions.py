@@ -1,10 +1,10 @@
 """Exact quotient reductions and root-of-unity analysis of the linear part.
 
-The two vanishing identities are checked algebraically: substituting
-u^(t) -> λ^t u (first order) or its even/odd split (second order) turns a
-differential polynomial into an ordinary polynomial whose identical
-vanishing is equivalent to vanishing on every solution of the quotient
-equation, because the initial values u(x0) (and u'(x0)) are free.
+The vanishing identities are checked algebraically: substituting
+u^(t) -> λ^(t − t mod m) u^(t mod m) turns a differential polynomial into
+one in u, u', …, u^(m−1) alone, whose identical vanishing is equivalent to
+vanishing on every solution of u^(m) = λ^m u, because the initial values
+u(x0), …, u^(m−1)(x0) are free.
 
 mpmath is imported only by the high-precision cross-check of the thm5
 suite, so importing this module does not load it.
@@ -17,40 +17,35 @@ from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .diffalg import DiffPolynomial, LambdaPolynomial
+from .diffalg import DiffPolynomial
 from .expansion import kl_direct, linear_part
 
 if TYPE_CHECKING:
     import mpmath
 
 
-def _collect(triples) -> dict:
-    """Sum (key, λ-exponent, coefficient) triples into {key: λ-polynomial},
-    dropping keys whose sum is zero."""
-    grouped: dict = {}
-    for key, e, c in triples:
-        coeffs = grouped.setdefault(key, {})
-        coeffs[e] = coeffs.get(e, 0) + c
-    return {key: lp for key, coeffs in grouped.items() if (lp := LambdaPolynomial(coeffs))}
+def reduce_order(p: DiffPolynomial, m: int) -> DiffPolynomial:
+    """Substitute u^(t) -> λ^(t − t mod m) u^(t mod m) throughout; the
+    result is zero exactly when p vanishes on every solution of
+    u^(m) = λ^m u.  Raises ValueError for m < 1."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    out: dict = {}
+    for (mono, e), c in p.items():
+        low = [t % m for t in mono]
+        low.sort()
+        key = (tuple(low), e + sum(mono) - sum(low))
+        out[key] = out.get(key, 0) + c
+    return DiffPolynomial._wrap({key: c for key, c in out.items() if c})
 
 
-def reduce_first_order(p: DiffPolynomial) -> dict[int, LambdaPolynomial]:
-    """Substitute u^(t) -> λ^t u throughout; returns a map from the power of
-    u to its λ-polynomial coefficient (empty map = identically zero)."""
-    return _collect((len(mono), e + sum(mono), c) for (mono, e), c in p.items())
+# the paper's identities (i) and (ii), by the names perfbench traces
+def reduce_first_order(p: DiffPolynomial) -> DiffPolynomial:
+    return reduce_order(p, 1)
 
 
-def reduce_second_order(
-    p: DiffPolynomial,
-) -> dict[tuple[int, int], LambdaPolynomial]:
-    """Substitute u^(2t) -> λ^(2t) u and u^(2t+1) -> λ^(2t) u' throughout;
-    returns a map (power of u, power of u') -> λ-polynomial coefficient."""
-
-    def reduced(mono, e, c):
-        up_pow = sum(t % 2 for t in mono)
-        return (len(mono) - up_pow, up_pow), e + sum(mono) - up_pow, c
-
-    return _collect(reduced(mono, e, c) for (mono, e), c in p.items())
+def reduce_second_order(p: DiffPolynomial) -> DiffPolynomial:
+    return reduce_order(p, 2)
 
 
 def _divmod_monic(a, b) -> tuple[list[int], list[int]]:

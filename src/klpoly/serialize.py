@@ -95,7 +95,7 @@ def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
 
 def poly_to_text(p: DiffPolynomial) -> str:
     """Human-readable rendering, higher derivatives first within a degree."""
-    if p.is_zero():
+    if not p:
         return "0"
     ordered = sorted(p.terms(), key=lambda kv: (len(kv[0]), -sum(kv[0]), kv[0]))
     out = []

@@ -305,6 +305,46 @@ def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (1, "fail")
 
 
+# (suite, check, cli function it reads, arguments of the changed call, change)
+CHANGED_VALUES = [
+    ("weights", "composition-count stars-and-bars", "enumerate_compositions",
+     (2, 1, 1), lambda rows: rows[1:]),
+    ("weights", "density-vs-word j,alpha<=5", "density", ((0, 1),), lambda d: d + 1),
+    ("weights", "generating-function n<=20", "g_poly", (3,), lambda g: [g[0] + 1, *g[1:]]),
+    ("weights", "product-sum recurrence-vs-enumeration n<=12",
+     "sum_of_products_enumerated", (3, 1), lambda s: s + 1),
+    ("weights", "factorial-sum n<=15", "factorial_sum_check", (3, 2),
+     lambda sides: (sides[0], sides[1] + 1)),
+    ("weights", "binomial-convolution n,m<=20", "convolution", (3, 2), lambda c: c + 1),
+    ("cstar", "c-star n=2 j=1", "c_star_factorial_form", (2, 1), lambda f: f + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, check, name, at, change", CHANGED_VALUES, ids=[case[2] for case in CHANGED_VALUES]
+)
+def test_check_fails_on_one_changed_value(capsys, monkeypatch, suite, check, name, at, change):
+    # a negative control per check: one value it reads, changed at one call
+    original = getattr(cli, name)
+
+    def changed(*args):
+        value = original(*args)
+        return change(value) if args == at else value
+
+    argv = ["verify", suite, "--n-max", "2"]
+    assert check_status(capsys, argv, check) == (0, "pass")
+    monkeypatch.setattr(cli, name, changed)
+    assert check_status(capsys, argv, check) == (1, "fail")
+
+
+def test_verify_identities_24_golden(capsys):
+    # every first and second identity up to the largest n, even residuals included
+    argv = ["verify", "identities", "--n-max", "24", "--format", "json", "--no-timing"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / "verify_identities_24.json").read_text()
+
+
 def test_verify_thm5_20_golden(capsys):
     # the largest thm5 grid, every rate of every modulus 3..20
     argv = ["verify", "thm5", "--n-max", "20", "--m-max", "20", "--format", "json", "--no-timing"]

@@ -72,7 +72,7 @@ def test_differentiate_power_rule():
 
 
 def test_differentiate_constant():
-    assert DiffPolynomial.u_power(0).differentiate().is_zero()
+    assert not DiffPolynomial.u_power(0).differentiate()
 
 
 def test_differentiate_two_factor_product():
@@ -107,21 +107,21 @@ def test_apply_factor_worked_example():
 
 def test_apply_factor_on_zero():
     for m in range(4):
-        assert DiffPolynomial.zero().apply_factor(m).is_zero()
+        assert not DiffPolynomial.zero().apply_factor(m)
 
 
 def test_add_and_scale():
     u = DiffPolynomial.u_power(1)
-    assert (u + (-u)).is_zero()
+    assert not u + (-u)
     assert dp({(2,): {0: 1}}).scale(2) == dp({(2,): {0: 2}})
     assert u.scale(-2, lam=2) == dp({(0,): {2: -2}})
-    assert u.scale(0, lam=3).is_zero()
+    assert not u.scale(0, lam=3)
 
 
 def test_canonicality_no_zero_terms():
     p = dp({(1,): {0: 3}, (0,): {1: 1}})
     diff = p - p
-    assert diff.is_zero()
+    assert not diff
     assert diff.terms() == []
 
 

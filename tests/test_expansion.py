@@ -76,7 +76,7 @@ def test_kth_term_matches_the_operator_chain():
 
 
 def test_kl_direct_small():
-    assert kl_direct(1).poly.is_zero()
+    assert not kl_direct(1).poly
     assert kl_direct(2).poly == dp({(1,): {0: 1}, (0,): {1: -1}})
     assert kl_direct(3).poly == dp({(2,): {0: 2}, (0,): {2: -2}})
 

@@ -6,11 +6,13 @@ import mpmath
 import pytest
 
 from klpoly import (
+    DiffPolynomial,
     differential_word,
     kl_direct,
     lambda_zero_pattern,
     linear_part,
     reduce_first_order,
+    reduce_order,
     reduce_second_order,
     thm5_verdict,
 )
@@ -20,35 +22,64 @@ from helpers import ExpSolution, dp, evaluate_at_exponential
 
 def test_first_identity_exact():
     for n in range(1, 9):
-        assert reduce_first_order(kl_direct(n).poly) == {}
+        assert reduce_first_order(kl_direct(n).poly) == DiffPolynomial.zero()
 
 
 def test_first_order_reduction_cancels_f3():
-    assert reduce_first_order(dp({(2,): {0: 2}, (0,): {2: -2}})) == {}
+    assert reduce_first_order(dp({(2,): {0: 2}, (0,): {2: -2}})) == DiffPolynomial.zero()
 
 
 def test_first_order_reduction_of_word():
     # the length-4 word (0,1,1,1) reduces to 24 λ^3 u^4
     reduced = reduce_first_order(differential_word((0, 1, 1, 1)))
-    assert set(reduced) == {4}
-    assert reduced[4].coeffs == {3: 24}
+    assert reduced == dp({(0, 0, 0, 0): {3: 24}})
 
 
 def test_second_identity_exact_odd():
     for n in (1, 3, 5, 7):
-        assert reduce_second_order(kl_direct(n).poly) == {}
+        assert reduce_second_order(kl_direct(n).poly) == DiffPolynomial.zero()
 
 
 def test_second_identity_even_residual():
     residual = reduce_second_order(kl_direct(2).poly)
     # u' - λu survives the substitution
-    assert set(residual) == {(1, 0), (0, 1)}
-    assert residual[(0, 1)].coeffs == {0: 1}
-    assert residual[(1, 0)].coeffs == {1: -1}
+    assert residual == dp({(1,): {0: 1}, (0,): {1: -1}})
 
 
 def test_second_order_reduction_direct():
-    assert reduce_second_order(dp({(2,): {0: 2}, (0,): {2: -2}})) == {}
+    assert reduce_second_order(dp({(2,): {0: 2}, (0,): {2: -2}})) == DiffPolynomial.zero()
+
+
+def test_reduce_order_substitution():
+    # λ·u''·u''' -> λ^4 u·u'' at m = 3 (the reduced orders re-sorted),
+    # λ^5 u·u' at m = 2, λ^6 u^2 at m = 1
+    p = dp({(2, 3): {1: 5}})
+    assert reduce_order(p, 3) == dp({(0, 2): {4: 5}})
+    assert reduce_order(p, 2) == dp({(0, 1): {5: 5}})
+    assert reduce_order(p, 1) == dp({(0, 0): {6: 5}})
+    assert reduce_order(p, 4) == p
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            reduce_order(p, m)
+
+
+def test_question_iii_from_the_built_polynomial():
+    # f_n vanishes on every solution of u^(m) = λ^m u only for m = 1, for
+    # m = 2 at odd n, and for the zero polynomial f_1
+    for n in range(1, 21):
+        poly = kl_direct(n).poly
+        for m in range(1, 9):
+            vanishes = m == 1 or (m == 2 and n % 2 == 1) or n == 1
+            assert (not reduce_order(poly, m)) == vanishes, (n, m)
+
+
+def test_linear_part_survives_every_higher_order_reduction():
+    # the paper's linear-part argument: the degree-1 slice reduces to a
+    # nonzero combination of u, …, u^(m−1) for every m >= 3
+    for n in range(3, 21):
+        for m in range(3, 7):
+            reduced = reduce_order(kl_direct(n).poly, m)
+            assert any(len(mono) == 1 for mono, _ in reduced.terms()), (n, m)
 
 
 def test_evaluate_sin_solution():
