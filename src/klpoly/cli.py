@@ -306,7 +306,7 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
 # order.  A range starts at the least bound that leaves a grid point; its end
 # was sized to a cold run of about 5 s on 2 vCPUs.  At the ends a cold run now
 # takes: identities 24 1.5 s, cstar 28 4.6 s, weights 10 4.2 s, linear 24
-# 1.4 s, thm5 20/20 0.8 s.  A runner looks its suite up when called, so a
+# 1.4 s, thm5 20/20 0.6 s.  A runner looks its suite up when called, so a
 # wrapper installed on the module attribute (as perfbench's tracer does) sees
 # it.
 SUITES = {

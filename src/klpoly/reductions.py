@@ -6,22 +6,27 @@ one in u, u', …, u^(m−1) alone, whose identical vanishing is equivalent to
 vanishing on every solution of u^(m) = λ^m u, because the initial values
 u(x0), …, u^(m−1)(x0) are free.
 
-mpmath is imported only by the high-precision cross-check of the thm5
-suite, so importing this module does not load it.
+The 110-digit cross-check of the thm5 suite evaluates h(ζ^r) in exact
+integer fixed point: the m-th roots of unity are Gaussian integers scaled
+by 2^_BITS, so the runtime needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from functools import lru_cache
-from math import gcd
-from typing import TYPE_CHECKING
+from math import ceil, cos, gcd, log2, pi, sin
 
 from .diffalg import DiffPolynomial
 from .expansion import kl_direct, linear_part
 
-if TYPE_CHECKING:
-    import mpmath
+# decimal digits of the thm5 cross-check, and the fixed-point bits that
+# carry them with 64 guard bits
+PRECISION = 110
+_BITS = ceil(PRECISION * log2(10)) + 64
+_ONE = 1 << _BITS
+_CONTEXT = Context(prec=PRECISION)
 
 
 def reduce_order(p: DiffPolynomial, m: int) -> DiffPolynomial:
@@ -86,25 +91,46 @@ def thm5_verdict(n: int, m: int) -> set[int]:
 
 
 @lru_cache(maxsize=32)
-def _roots_of_unity(m: int, dps: int) -> tuple:
-    """ζ^k for k = 0..m−1, ζ = e^(2πi/m), at dps digits; the cache holds
-    every modulus of a `verify thm5` grid (m = 3..20)."""
-    import mpmath
+def _roots_of_unity(m: int) -> tuple[tuple[int, int], ...]:
+    """ζ^k for k = 0..m−1, ζ = e^(2πi/m), as Gaussian integers (re, im)
+    scaled by 2^_BITS; the cache holds every modulus of a `verify thm5`
+    grid (m = 3..20)."""
 
-    with mpmath.workdps(dps):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * k) / m) for k in range(m))
+    def mul(z, w):
+        return (z[0] * w[0] - z[1] * w[1]) >> _BITS, (z[0] * w[1] + z[1] * w[0]) >> _BITS
+
+    zeta = (round(cos(2 * pi / m) * _ONE), round(sin(2 * pi / m) * _ONE))
+    # Newton on z^m = 1: z <- ((m−1)z + 1/w)/m, w = z^(m−1), 1/w = conj(w)/|w|^2;
+    # each step doubles the correct bits from the float start's 53, so four
+    # pass _BITS; the fifth is margin
+    for _ in range(5):
+        w = (_ONE, 0)
+        for _ in range(m - 1):
+            w = mul(w, zeta)
+        norm = w[0] * w[0] + w[1] * w[1]
+        inverse = ((w[0] << 2 * _BITS) // norm, (-w[1] << 2 * _BITS) // norm)
+        zeta = (
+            ((m - 1) * zeta[0] + inverse[0]) // m,
+            ((m - 1) * zeta[1] + inverse[1]) // m,
+        )
+    roots = [(_ONE, 0)]
+    for _ in range(m - 1):
+        roots.append(mul(roots[-1], zeta))
+    return tuple(roots)
 
 
-def h_at_root_of_unity_numeric(n: int, m: int, r: int, dps: int = 110) -> mpmath.mpf:
-    """|h(ζ^r)| for the built linear part, at high precision, as a
-    cross-check on the exact verdicts: h(ζ^r) = Σ c[i] ζ^(r(n−1−i)), one dot
-    product of the integer coefficients with the reduced powers of ζ."""
-    import mpmath
-
-    c = linear_part(n).c
-    roots = _roots_of_unity(m, dps)
-    with mpmath.workdps(dps):
-        return abs(mpmath.fdot(c, [roots[r * (n - 1 - i) % m] for i in range(n)]))
+def h_at_root_of_unity_numeric(n: int, m: int, r: int) -> Decimal:
+    """|h(ζ^r)| for the built linear part, to PRECISION digits, as a
+    cross-check on the exact verdicts: h(ζ^r) = Σ c[i] ζ^(r(n−1−i)), two
+    exact integer dot products of the coefficients with the real and
+    imaginary parts of the reduced powers of ζ."""
+    roots = _roots_of_unity(m)
+    x = y = 0
+    for i, c in enumerate(linear_part(n).c):
+        re, im = roots[r * (n - 1 - i) % m]
+        x += c * re
+        y += c * im
+    return _CONTEXT.divide(_CONTEXT.sqrt(Decimal(x * x + y * y)), Decimal(_ONE))
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def test_criterion_09_surviving_rates(capsys):
                     numeric = h_at_root_of_unity_numeric(n, m, r)
                     assert (numeric < 1e-50) == (r in verdict)
     with capsys.disabled():
-        report(9, "surviving exponential rates match theory and 100-digit numerics", t, 30.0)
+        report(9, "surviving exponential rates match theory and 110-digit numerics", t, 30.0)
 
 
 def test_criterion_10_lambda_zero(capsys):

@@ -317,6 +317,15 @@ CHANGED_VALUES = [
      lambda sides: (sides[0], sides[1] + 1)),
     ("weights", "binomial-convolution n,m<=20", "convolution", (3, 2), lambda c: c + 1),
     ("cstar", "c-star n=2 j=1", "c_star_factorial_form", (2, 1), lambda f: f + 1),
+    ("identities", "first-identity n=2", "reduce_first_order", (expansion.kl_direct(2).poly,),
+     lambda p: p + DiffPolynomial({((0,), 1): 1})),
+    ("identities", "second-identity n=1", "reduce_second_order", (expansion.kl_direct(1).poly,),
+     lambda p: p + DiffPolynomial({((1,), 0): 1})),
+    ("linear", "linear-coefficient-formula n=2", "c_alpha_formula", (2, 1), lambda c: c + 1),
+    ("linear", "h-polynomial n=2", "h_poly", (2,), lambda h: [h[0] + 1, *h[1:]]),
+    ("linear", "operator-factorization n=2", "linear_factorization", (2,),
+     lambda p: p + DiffPolynomial({((1,), 0): 1})),
+    ("linear", "kernel-exponents n=2", "kernel_exponents", (2,), lambda roots: [*roots, 0]),
 ]
 
 
@@ -353,7 +362,15 @@ def test_verify_thm5_20_golden(capsys):
     assert out == (GOLDEN / "verify_thm5_20.json").read_text()
 
 
-def test_only_the_thm5_crosscheck_loads_mpmath():
+def run_child(script):
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_no_command_loads_mpmath():
     script = (
         "import sys, contextlib, io\n"
         "from klpoly.cli import main\n"
@@ -365,13 +382,23 @@ def test_only_the_thm5_crosscheck_loads_mpmath():
         "    main(['verify', 'thm5', '--n-max', '3', '--m-max', '3'])\n"
         "print('mpmath' in sys.modules, file=sys.stderr)\n"
     )
-    src = Path(cli.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    child = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    child = run_child(script)
     assert child.returncode == 0, child.stderr
-    assert child.stderr.split() == ["False", "True"]
+    assert child.stderr.split() == ["False", "False"]
+
+
+def test_verify_thm5_runs_with_mpmath_blocked():
+    # the 110-digit cross-check needs only the standard library
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from klpoly.cli import main\n"
+        "sys.exit(main(['verify', 'thm5', '--n-max', '20', '--m-max', '20',\n"
+        "               '--format', 'json', '--no-timing']))\n"
+    )
+    child = run_child(script)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == (GOLDEN / "verify_thm5_20.json").read_text()
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -179,7 +179,7 @@ def test_thm5_verdicts():
             thm5_verdict(n, m)
 
 
-def test_numeric_crosscheck_at_100_digits():
+def test_numeric_crosscheck_at_110_digits():
     for n in range(3, 11):
         for m in range(3, 11):
             surviving = thm5_verdict(n, m)
@@ -192,14 +192,16 @@ def test_numeric_crosscheck_at_100_digits():
 
 
 def test_numeric_crosscheck_matches_horner():
-    # the oracle evaluates h at ζ^r itself, by Horner over the coefficients
-    for n in range(2, 13):
+    # the oracle evaluates h at ζ^r itself, by Horner over the coefficients,
+    # in mpmath; a Decimal reaches mpmath through its digit string
+    for n in range(2, 21):
         c = linear_part(n).c
-        for m in range(1, 13):
+        for m in range(1, 21):
             for r in range(m):
                 with mpmath.workdps(110):
                     horner = abs(mpmath.polyval(c, mpmath.expjpi(mpmath.mpf(2 * r) / m)))
-                    assert abs(h_at_root_of_unity_numeric(n, m, r) - horner) < 1e-90, (n, m, r)
+                    value = h_at_root_of_unity_numeric(n, m, r)
+                    assert abs(horner - mpmath.mpf(str(value))) < 1e-90, (n, m, r)
 
 
 def test_lambda_zero_pattern():
