@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .diffalg import DiffPolynomial
 
@@ -68,7 +68,7 @@ def product_rule_coefficient(beta: Composition, pi: tuple[int, ...]) -> int:
 
 def density(beta: Composition) -> int:
     """Sum of all product rule coefficients of beta: ∏ m^beta[m-1]."""
-    return prod(m**b for m, b in enumerate(beta, 1))
+    return prod(map(pow, range(1, len(beta) + 1), beta))
 
 
 def weight(j: int, alpha: int, k: int) -> int:
@@ -115,8 +115,7 @@ def weight_closed_form(j: int, alpha: int, k: int) -> int:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     a = weight_A_coefficients(j)
     total = sum(
-        Fraction(m ** (m - k), factorial(m - k)) * a[m] * m**alpha
-        for m in range(k, j + 1)
+        a[m] * Fraction(m ** (m - k + alpha), factorial(m - k)) for m in range(k, j + 1)
     )
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral weight for ({j}, {alpha}, {k}): {total}")
@@ -189,7 +188,8 @@ def generalized_binomial(top: int, q: int) -> int:
     integer top (including negative) and q >= 0."""
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    num = prod(top - i for i in range(q))
+    # for top < 0 the q factors are −(q−top−1), …, −(−top)
+    num = perm(top, q) if top >= 0 else (-1) ** q * perm(q - top - 1, q)
     den = factorial(q)
     if num % den:
         raise ArithmeticError(f"non-integral binomial ({top}, {q})")

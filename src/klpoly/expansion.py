@@ -14,10 +14,10 @@ weights each power; it never reaches ``combinatorics``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
+from typing import NamedTuple
 
 from .combinatorics import (
     differential_word,
@@ -28,8 +28,7 @@ from .combinatorics import (
 from .diffalg import DiffPolynomial, Monomial, canonical_monomial
 
 
-@dataclass(frozen=True)
-class KLExpansion:
+class KLExpansion(NamedTuple):
     """An expanded f_{n,λ}(u) together with how it was built."""
 
     n: int
@@ -37,8 +36,7 @@ class KLExpansion:
     provenance: str  # "direct" or "closed_form"
 
 
-@dataclass(frozen=True)
-class LinearPart:
+class LinearPart(NamedTuple):
     """The degree-1 slice of f_{n,λ}(u): coefficients c[α] of λ^(n-1-α) u^(α)."""
 
     n: int
@@ -202,14 +200,11 @@ def c_star_factorial_form(n: int, j: int) -> Fraction:
     a = weight_A_coefficients(j)
     total = Fraction(0)
     for k in range(j + 1):
-        inner = Fraction(0)
-        for m in range(max(k, 1), j + 1):
-            inner += (
-                Fraction(m) ** (m - j)
-                * Fraction(1, factorial(m - k))
-                * a[m]
-                * Fraction(factorial(n - k + m - 1), factorial(m - 1))
-            )
+        # (n−k+m−1)!/(m−1)! = perm(n−k+m−1, n−k), and m^(m−j) = 1/m^(j−m)
+        inner = sum(
+            a[m] * Fraction(perm(n - k + m - 1, n - k), factorial(m - k) * m ** (j - m))
+            for m in range(max(k, 1), j + 1)
+        )
         total += (-1) ** (j - k) * comb(n, k) * inner
     return total
 

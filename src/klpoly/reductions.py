@@ -13,13 +13,13 @@ by 2^_BITS, so the runtime needs nothing outside the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from functools import lru_cache
 from math import ceil, cos, gcd, log2, pi, sin
+from typing import NamedTuple
 
 from .diffalg import DiffPolynomial
-from .expansion import kl_direct, linear_part
+from .expansion import LinearPart, kl_direct, linear_part
 
 # decimal digits of the thm5 cross-check, and the fixed-point bits that
 # carry them with 64 guard bits
@@ -119,22 +119,22 @@ def _roots_of_unity(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(roots)
 
 
-def h_at_root_of_unity_numeric(n: int, m: int, r: int) -> Decimal:
-    """|h(ζ^r)| for the built linear part, to PRECISION digits, as a
-    cross-check on the exact verdicts: h(ζ^r) = Σ c[i] ζ^(r(n−1−i)), two
-    exact integer dot products of the coefficients with the real and
-    imaginary parts of the reduced powers of ζ."""
+def h_at_root_of_unity_numeric(lp: LinearPart, m: int, r: int) -> Decimal:
+    """|h(ζ^r)| for the built linear part lp = linear_part(n), to PRECISION
+    digits, as a cross-check on the exact verdicts: h(ζ^r) =
+    Σ c[i] ζ^(r(n−1−i)), two exact integer dot products of the coefficients
+    with the real and imaginary parts of the reduced powers of ζ."""
     roots = _roots_of_unity(m)
+    n = lp.n
     x = y = 0
-    for i, c in enumerate(linear_part(n).c):
+    for i, c in enumerate(lp.c):
         re, im = roots[r * (n - 1 - i) % m]
         x += c * re
         y += c * im
     return _CONTEXT.divide(_CONTEXT.sqrt(Decimal(x * x + y * y)), Decimal(_ONE))
 
 
-@dataclass(frozen=True)
-class LambdaZeroVerdict:
+class LambdaZeroVerdict(NamedTuple):
     """What survives of the linear part at λ = 0, and the induced lower
     bound on any vanishing pattern when u^(m) = 0 minimally."""
 

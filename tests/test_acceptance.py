@@ -141,12 +141,13 @@ def test_criterion_08_linear_chain(capsys):
 def test_criterion_09_surviving_rates(capsys):
     with Timer() as t:
         for n in range(3, 11):
+            lp = linear_part(n)
             for m in range(3, 11):
                 expected = {0} if m % 2 else {0, m // 2}
                 verdict = thm5_verdict(n, m)
                 assert verdict == expected
                 for r in range(m):
-                    numeric = h_at_root_of_unity_numeric(n, m, r)
+                    numeric = h_at_root_of_unity_numeric(lp, m, r)
                     assert (numeric < 1e-50) == (r in verdict)
     with capsys.disabled():
         report(9, "surviving exponential rates match theory and 110-digit numerics", t, 30.0)

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -223,7 +222,7 @@ def perturb_direct(monkeypatch):
 
     def perturbed(n):
         built = original(n)
-        return replace(built, poly=built.poly + DiffPolynomial({((0,), n - 1): 1}))
+        return built._replace(poly=built.poly + DiffPolynomial({((0,), n - 1): 1}))
 
     for module in (cli, expansion, reductions):
         monkeypatch.setattr(module, "kl_direct", perturbed)
@@ -247,6 +246,22 @@ def perturb_weight(monkeypatch):
     )
 
 
+def check_status(capsys, argv, check):
+    code, out = run(capsys, [*argv, "--format", "json", "--no-timing"])
+    statuses = {c["check"]: c["status"] for c in json.loads(out)["checks"]}
+    return code, statuses[check]
+
+
+# the check each per-suite perturbation below reaches
+PERTURBED_CHECK = {
+    "identities": "first-identity n=3",
+    "linear": "linear-coefficient-formula n=3",
+    "thm5": "surviving-rates n=3 m=3",
+    "cstar": "c-star n=3 j=2",
+    "weights": "weight-closed-form j,k<= 2 alpha<=2",
+}
+
+
 @pytest.mark.parametrize(
     "suite, bounds, perturb",
     [
@@ -260,17 +275,17 @@ def perturb_weight(monkeypatch):
 def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bounds, perturb):
     # a negative control: every suite reads the values it checks
     argv = ["verify", suite, *bounds]
-    assert run(capsys, argv)[0] == 0
+    check = PERTURBED_CHECK[suite]
+    assert check_status(capsys, argv, check) == (0, "pass")
     perturb(monkeypatch)
-    code, out = run(capsys, argv)
+    assert check_status(capsys, argv, check) == (1, "fail")
+    # the text report names the failing check and counts it in its summary
+    code, out = run(capsys, [*argv, "--no-timing"])
     assert code == 1, out
-    assert "FAIL" in out
-
-
-def check_status(capsys, argv, check):
-    code, out = run(capsys, [*argv, "--format", "json", "--no-timing"])
-    statuses = {c["check"]: c["status"] for c in json.loads(out)["checks"]}
-    return code, statuses[check]
+    lines = out.splitlines()
+    failing = [line for line in lines if line.startswith(f"{'FAIL':>8}  ")]
+    assert any(line.split("  [")[0] == f"{'FAIL':>8}  {check}" for line in failing), out
+    assert f" {len(failing)} failed, " in lines[-1], out
 
 
 @pytest.mark.parametrize(
@@ -280,7 +295,7 @@ def check_status(capsys, argv, check):
         # only its mirror, so both are compared with the verdict
         ("thm5_verdict", lambda n, m: {0, 1}),
         ("thm5_verdict", lambda n, m: {0, 2}),
-        ("h_at_root_of_unity_numeric", lambda n, m, r: 0),
+        ("h_at_root_of_unity_numeric", lambda lp, m, r: 0),
     ],
 )
 def test_numeric_crosscheck_fails_on_a_changed_side(capsys, monkeypatch, name, value):
@@ -296,7 +311,7 @@ def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch
 
     def perturbed(n):
         built = original(n)
-        return replace(built, poly=built.poly + DiffPolynomial({((n - 1,), 0): 1}))
+        return built._replace(poly=built.poly + DiffPolynomial({((n - 1,), 0): 1}))
 
     argv = ["verify", "linear", "--n-max", "3"]
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (0, "pass")
@@ -310,6 +325,10 @@ CHANGED_VALUES = [
     ("weights", "composition-count stars-and-bars", "enumerate_compositions",
      (2, 1, 1), lambda rows: rows[1:]),
     ("weights", "density-vs-word j,alpha<=5", "density", ((0, 1),), lambda d: d + 1),
+    # the word 2·u·u' of (0, 1) with one of its u·u' moved to λ: the same
+    # coefficient sum, but no longer λ-free
+    ("weights", "density-vs-word j,alpha<=5", "differential_word", ((0, 1),),
+     lambda w: w + DiffPolynomial({((0, 1), 1): 1, ((0, 1), 0): -1})),
     ("weights", "generating-function n<=20", "g_poly", (3,), lambda g: [g[0] + 1, *g[1:]]),
     ("weights", "product-sum recurrence-vs-enumeration n<=12",
      "sum_of_products_enumerated", (3, 1), lambda s: s + 1),
@@ -371,20 +390,25 @@ def run_child(script):
 
 
 def test_no_command_loads_mpmath():
+    # nor dataclasses, whose import pulls in inspect, ast, dis and tokenize
     script = (
         "import sys, contextlib, io\n"
         "from klpoly.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in (['expand', '4'], ['table', '4', '3', '2'], ['linear', '5'],\n"
-        "                 ['cstar', '4'], ['hpoly', '5'], ['verify', 'linear', '--n-max', '4']):\n"
+        "    for argv in (['expand', '4'], ['expand', '4', '--closed-form'],\n"
+        "                 ['table', '4', '3', '2'], ['linear', '5'], ['cstar', '4'],\n"
+        "                 ['hpoly', '5'], ['verify', 'identities', '--n-max', '4'],\n"
+        "                 ['verify', 'cstar', '--n-max', '3'],\n"
+        "                 ['verify', 'weights', '--n-max', '2'],\n"
+        "                 ['verify', 'linear', '--n-max', '4'],\n"
+        "                 ['verify', 'thm5', '--n-max', '3', '--m-max', '3']):\n"
         "        assert main(argv) == 0, argv\n"
-        "    print('mpmath' in sys.modules, file=sys.stderr)\n"
-        "    main(['verify', 'thm5', '--n-max', '3', '--m-max', '3'])\n"
-        "print('mpmath' in sys.modules, file=sys.stderr)\n"
+        "        loaded = {'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "        print(sorted(loaded) or 'none', file=sys.stderr)\n"
     )
     child = run_child(script)
     assert child.returncode == 0, child.stderr
-    assert child.stderr.split() == ["False", "False"]
+    assert child.stderr.split() == ["none"] * 11
 
 
 def test_verify_thm5_runs_with_mpmath_blocked():
@@ -463,6 +487,20 @@ def test_verify_bound_above_range_is_usage_error(capsys, monkeypatch):
     assert main(["verify", "thm5", "--n-max", "20", "--m-max", "20"]) == 0
     assert main(["verify", "all", "--n-max", "3", "--m-max", "3"]) == 0
     assert calls == [(10,), (20, 20), (3,), (3,), (3,), (3,), (3, 3)]
+
+
+def test_value_error_inside_a_suite_is_an_internal_error(capsys, monkeypatch):
+    # only a rejected argument exits 2; a ValueError while computing exits 3
+    def broken(beta):
+        raise ValueError("not a constant: 1 + 1·λ")
+
+    monkeypatch.setattr(cli, "density", broken)
+    assert main(["verify", "weights", "--n-max", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: ValueError: not a constant: 1 + 1·λ"
+    ]
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

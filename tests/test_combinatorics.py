@@ -1,6 +1,7 @@
 """Compositions, words, densities, weights, product sums, convolution."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -223,6 +224,24 @@ def test_generalized_binomial():
     for n in range(1, 8):
         for q in range(8):
             assert generalized_binomial(-n, q) == (-1) ** q * comb(n + q - 1, q)
+    # the literal falling product, q > top >= 0 (a zero factor) included
+    for top in range(-25, 26):
+        for q in range(26):
+            literal = prod(top - i for i in range(q)) // factorial(q)
+            assert generalized_binomial(top, q) == literal, (top, q)
+
+
+def test_weight_closed_form_matches_the_fraction_product():
+    # the reference multiplies m^(m−k)/(m−k)!, A[m] and m^α as Fractions
+    for j in range(1, 9):
+        a = weight_A_coefficients(j)
+        for k in range(1, j + 1):
+            for alpha in range(9):
+                total = sum(
+                    Fraction(m ** (m - k), factorial(m - k)) * a[m] * m**alpha
+                    for m in range(k, j + 1)
+                )
+                assert weight_closed_form(j, alpha, k) == total, (j, alpha, k)
 
 
 def test_convolution():

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from klpoly import (
     linear_factorization,
     linear_part,
     monomials,
+    weight_A_coefficients,
 )
 from klpoly import expansion
 from klpoly.expansion import _p_sums
@@ -168,6 +169,29 @@ def test_c_star_vanishes():
         for j in range(1, n + 1):
             assert c_star(n, j) == 0
             assert c_star_factorial_form(n, j) == Fraction(0)
+
+
+def test_c_star_factorial_form_matches_the_fraction_product(monkeypatch):
+    # for each m the alternating sum over k of C(n, k)·(n−k+m−1)!/(m−k)!
+    # cancels, so weights 10^k + 1 in place of C(n, k) make every term
+    # count; the reference takes one Fraction per factor
+    monkeypatch.setattr(expansion, "comb", lambda n, k: 10**k + 1)
+    for j in range(1, 9):
+        a = weight_A_coefficients(j)
+        for n in range(j, 15):
+            total = Fraction(0)
+            for k in range(j + 1):
+                inner = Fraction(0)
+                for m in range(max(k, 1), j + 1):
+                    inner += (
+                        Fraction(m) ** (m - j)
+                        * Fraction(1, factorial(m - k))
+                        * a[m]
+                        * Fraction(factorial(n - k + m - 1), factorial(m - 1))
+                    )
+                total += (-1) ** (j - k) * (10**k + 1) * inner
+            assert total != 0
+            assert c_star_factorial_form(n, j) == total, (n, j)
 
 
 def test_c_star_from_direct_expansion():
