@@ -24,7 +24,6 @@ from .combinatorics import (
     g_poly,
     sum_of_products,
     sum_of_products_enumerated,
-    weight,
     weight_closed_form,
 )
 from .expansion import (
@@ -65,7 +64,7 @@ TABLE_432_ORDER = [
 
 # Accepted n of the one-n commands, cold on 2 vCPUs: `expand 24` takes
 # 0.7 s direct and 0.9 s by the closed form; `linear 24`, which builds the
-# same kl_direct(24), 0.5 s; `cstar 28` 2.1 s.  `hpoly` stops where its
+# same kl_direct(24), 0.5 s; `cstar 28` 1.5 s.  `hpoly` stops where its
 # largest coefficient (4113 digits at n = 1500, 1.5 s) still converts to a
 # decimal string under Python's default 4300-digit limit.
 EXPAND_MAX_N = 24
@@ -75,8 +74,8 @@ HPOLY_N = range(2, 1501)
 
 # `table j alpha k` lists the C(alpha+j-k, j-k) compositions of Z(j, alpha, k),
 # each of length j.  25,000 rows take about 0.9 s and 70 MiB as JSON (92,378
-# rows 2.4 s and 210 MiB); j and alpha at most 30 keep the rows short, the
-# enumeration's recursion shallow and every density below 45 digits.
+# rows 2.4 s and 210 MiB); j and alpha at most 30 keep the rows short and
+# every density below 45 digits.
 TABLE_MAX = 30
 TABLE_MAX_ROWS = 25_000
 
@@ -124,7 +123,7 @@ def cmd_table(args) -> int:
     if (j, alpha, k) == (4, 3, 2):
         rows = [tuple(beta) for beta in TABLE_432_ORDER]
     entries = [(beta, density(beta)) for beta in rows]
-    total = weight(j, alpha, k)
+    total = sum(d for _, d in entries)
     payload = {
         "j": j,
         "alpha": alpha,
@@ -222,21 +221,19 @@ def _lambda_free_sum(p: DiffPolynomial) -> int | None:
 
 
 def suite_weights(bound: int) -> list[dict]:
-    checks = []
-    ok = True
+    weight_ok = count_ok = True
     for j in range(1, bound + 1):
         for k in range(1, j + 1):
             for alpha in range(bound + 1):
-                if weight(j, alpha, k) != weight_closed_form(j, alpha, k):
-                    ok = False
-    checks.append(_check(f"weight-closed-form j,k<= {bound} alpha<={bound}", ok))
-    ok = all(
-        len(enumerate_compositions(j, alpha, k)) == comb(alpha + j - k, j - k)
-        for j in range(1, bound + 1)
-        for k in range(1, j + 1)
-        for alpha in range(bound + 1)
-    )
-    checks.append(_check("composition-count stars-and-bars", ok))
+                rows = enumerate_compositions(j, alpha, k)
+                if sum(map(density, rows)) != weight_closed_form(j, alpha, k):
+                    weight_ok = False
+                if len(rows) != comb(alpha + j - k, j - k):
+                    count_ok = False
+    checks = [
+        _check(f"weight-closed-form j,k<= {bound} alpha<={bound}", weight_ok),
+        _check("composition-count stars-and-bars", count_ok),
+    ]
     ok = all(
         density(beta) == _lambda_free_sum(differential_word(beta))
         for j in range(1, 6)
@@ -317,9 +314,9 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
 # ranges, for the bounds the suite takes); `verify all` runs them in this
 # order.  A range starts at the least bound that leaves a grid point; its end
 # was sized to a cold run of about 5 s on 2 vCPUs.  At the ends a cold run now
-# takes (median of three, Python 3.11): identities 24 1.7 s, cstar 28 4.6 s,
-# weights 10 3.7 s, linear 24 1.5 s, thm5 20/20 0.6 s.  A runner looks its
-# suite up when called, so a wrapper installed on the module attribute (as
+# takes (median of three to five, Python 3.11): identities 24 1.7 s, cstar 28
+# 1.9 s, weights 10 2.1 s, linear 24 1.5 s, thm5 20/20 0.6 s.  A runner looks
+# its suite up when called, so a wrapper installed on the module attribute (as
 # perfbench's tracer does) sees it.
 SUITES = {
     "identities": (lambda n, m: suite_identities(n), 8, None, (range(1, 25),)),

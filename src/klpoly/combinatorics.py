@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, perm, prod
+from operator import sub
 
 from .diffalg import DiffPolynomial
 
@@ -30,17 +31,12 @@ def enumerate_compositions(j: int, alpha: int, k: int = 1) -> list[Composition]:
     if alpha < 0:
         return []
     prefix = (0,) * (k - 1)
-    free = j - (k - 1)
-
-    def gen(slots: int, total: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in gen(slots - 1, total - first):
-                yield (first,) + rest
-
-    return [prefix + tail for tail in gen(free, alpha)]
+    # stars and bars: the partial sums of the free entries, the last one
+    # (alpha) left out, are a non-decreasing sequence in [0, alpha]
+    return [
+        prefix + tuple(map(sub, (*cuts, alpha), (0, *cuts)))
+        for cuts in combinations_with_replacement(range(alpha + 1), j - k)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -32,24 +32,9 @@ class LambdaPolynomial:
                 raise ValueError(f"negative λ exponent: {exp}")
         self._coeffs = {e: c for e, c in coeffs.items() if c}
 
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs sorted by exponent."""
         return sorted(self._coeffs.items())
-
-    def constant_value(self) -> int:
-        """The value of a λ-free polynomial; raises if λ actually appears."""
-        if not self._coeffs:
-            return 0
-        if set(self._coeffs) != {0}:
-            raise ValueError(f"not a constant: {self!r}")
-        return self._coeffs[0]
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LambdaPolynomial):
@@ -143,11 +128,6 @@ class DiffPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def min_degree(self) -> int | None:
-        if not self._terms:
-            return None
-        return min(len(mono) for mono, _ in self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffPolynomial):

@@ -135,6 +135,17 @@ def _p_sums(j: int, alpha: int, k: int) -> DiffPolynomial:
     return s
 
 
+def _alternating_weights(n: int, j: int, alpha: int) -> list[tuple[int, int]]:
+    """(k', (-1)^(j-k) C(n,k) S(n-k-1, n-j-α)) for each k in [0, j] whose
+    weight is non-zero, k' = max(k, 1) naming the family Z(j, α, k') whose
+    P-sums the k-th summand of the closed form reads."""
+    return [
+        (max(k, 1), (-1) ** (j - k) * comb(n, k) * s)
+        for k in range(j + 1)
+        if (s := sum_of_products(n - k - 1, n - j - alpha))
+    ]
+
+
 def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> int:
     """The integer coefficient of λ^(n-j-α) π in f_{n,λ}(u), by the
     alternating closed form
@@ -150,12 +161,8 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
     if len(pi) != j or sum(pi) != alpha:
         raise ValueError(f"monomial {pi} does not sit at (j={j}, alpha={alpha})")
     total = 0
-    for k in range(j + 1):
-        s = sum_of_products(n - k - 1, n - j - alpha)
-        if s == 0:
-            continue
-        p_sum = _p_sums(j, alpha, max(k, 1))[pi, 0]
-        total += (-1) ** (j - k) * comb(n, k) * s * p_sum
+    for k, w in _alternating_weights(n, j, alpha):
+        total += w * _p_sums(j, alpha, k)[pi, 0]
     return total
 
 
@@ -177,13 +184,17 @@ def kl_closed_form(n: int) -> KLExpansion:
 def c_star(n: int, j: int) -> int:
     """Sum of the closed-form coefficients over all orders and monomials at
     fixed degree j.  Always zero; asserting that reproves the first
-    vanishing identity."""
+    vanishing identity.
+
+    Every monomial of S_k(j, α) sits at (j, α), so the sum over π of one
+    summand of the closed form is its weight times the coefficient total
+    of S_k(j, α)."""
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
     return sum(
-        coefficient_closed_form(n, j, alpha, pi)
+        w * sum(c for _, c in _p_sums(j, alpha, k).items())
         for alpha in range(n - j + 1)
-        for pi in monomials(j, alpha)
+        for k, w in _alternating_weights(n, j, alpha)
     )
 
 

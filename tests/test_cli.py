@@ -101,7 +101,6 @@ def test_table_checks_its_size_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "enumerate_compositions", lambda *shape: enumerated.append(shape) or []
     )
-    monkeypatch.setattr(cli, "weight", lambda *shape: 0)
     for shape in ((31, 0, 1), (30, 31, 30), (10, 9, 1), (2, 30, 0)):
         assert main(["table", *map(str, shape)]) == 2, shape
         captured = capsys.readouterr()
@@ -229,11 +228,13 @@ def perturb_direct(monkeypatch):
 
 
 def perturb_closed_form(monkeypatch):
-    original = expansion.coefficient_closed_form
+    # 1 more u·u' in S_k(2, 1) for every k, whose coefficient totals c* reads
+    original = expansion._p_sums
     monkeypatch.setattr(
         expansion,
-        "coefficient_closed_form",
-        lambda n, j, alpha, pi: original(n, j, alpha, pi) + ((j, alpha) == (2, 1)),
+        "_p_sums",
+        lambda j, alpha, k: original(j, alpha, k)
+        + DiffPolynomial({((0, 1), 0): (j, alpha) == (2, 1)}),
     )
 
 

@@ -57,6 +57,38 @@ def test_compositions_rejects_bad_k():
         enumerate_compositions(3, 2, 4)
 
 
+def recursive_compositions(j, alpha, k):
+    """Reference enumeration: one nested generator per free slot."""
+    if alpha < 0:
+        return []
+
+    def gen(slots, total):
+        if slots == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in gen(slots - 1, total - first):
+                yield (first,) + rest
+
+    return [(0,) * (k - 1) + tail for tail in gen(j - k + 1, alpha)]
+
+
+def test_compositions_match_the_recursive_enumeration():
+    for j in range(1, 9):
+        for k in range(1, j + 1):
+            for alpha in range(-1, 9):
+                expected = recursive_compositions(j, alpha, k)
+                assert enumerate_compositions(j, alpha, k) == expected, (j, alpha, k)
+
+
+def test_compositions_of_a_long_row():
+    # 1500 free slots, more than Python's default recursion limit of 1000
+    rows = enumerate_compositions(1500, 1, 1)
+    assert len(rows) == 1500
+    assert rows[0] == (0,) * 1499 + (1,)
+    assert rows[-1] == (1,) + (0,) * 1499
+
+
 def test_composition_count_stars_and_bars():
     for j in range(1, 7):
         for k in range(1, j + 1):
@@ -122,8 +154,8 @@ def test_density_equals_coefficient_sum():
         for alpha in range(6):
             for beta in enumerate_compositions(j, alpha, 1):
                 word = differential_word(beta)
-                total = sum(c.constant_value() for _, c in word.terms())
-                assert total == density(beta)
+                assert all(e == 0 for (_, e), _ in word.items())
+                assert sum(c for _, c in word.items()) == density(beta)
 
 
 def test_first_order_reduction_of_words():

@@ -156,7 +156,7 @@ def test_lambda_grading():
             assert 1 <= len(mono) <= n
             assert 0 <= sum(mono) <= n - len(mono)
             expected = n - len(mono) - sum(mono)
-            assert set(coeff.coeffs) == {expected}
+            assert [e for e, _ in coeff.items()] == [expected]
 
 
 def test_no_constant_terms():
@@ -192,6 +192,22 @@ def test_c_star_factorial_form_matches_the_fraction_product(monkeypatch):
                 total += (-1) ** (j - k) * (10**k + 1) * inner
             assert total != 0
             assert c_star_factorial_form(n, j) == total, (n, j)
+
+
+def test_c_star_matches_the_sum_over_every_monomial(monkeypatch):
+    # c* reads the coefficient totals of S_k(j, α); the reference sums the
+    # closed form coefficient by coefficient.  c* itself is always 0, so
+    # weights 10^k + 1 in place of C(n, k) make every term count
+    monkeypatch.setattr(expansion, "comb", lambda n, k: 10**k + 1)
+    for n in range(1, 13):
+        for j in range(1, n + 1):
+            total = sum(
+                coefficient_closed_form(n, j, alpha, pi)
+                for alpha in range(n - j + 1)
+                for pi in monomials(j, alpha)
+            )
+            assert total != 0
+            assert c_star(n, j) == total, (n, j)
 
 
 def test_c_star_from_direct_expansion():
