@@ -13,7 +13,6 @@ from .combinatorics import (
     product_rule_coefficient,
     sum_of_products,
     sum_of_products_enumerated,
-    weight,
     weight_A_coefficients,
     weight_closed_form,
 )
@@ -31,7 +30,6 @@ from .expansion import (
     kth_term,
     linear_factorization,
     linear_part,
-    monomials,
 )
 from .reductions import (
     lambda_zero_pattern,

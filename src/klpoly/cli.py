@@ -63,7 +63,7 @@ TABLE_432_ORDER = [
 ]
 
 # Accepted n of the one-n commands, cold on 2 vCPUs: `expand 24` takes
-# 0.7 s direct and 0.9 s by the closed form; `linear 24`, which builds the
+# 0.6 s direct and 0.7 s by the closed form; `linear 24`, which builds the
 # same kl_direct(24), 0.5 s; `cstar 28` 1.5 s.  `hpoly` stops where its
 # largest coefficient (4113 digits at n = 1500, 1.5 s) still converts to a
 # decimal string under Python's default 4300-digit limit.

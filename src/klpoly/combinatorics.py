@@ -67,18 +67,6 @@ def density(beta: Composition) -> int:
     return prod(map(pow, range(1, len(beta) + 1), beta))
 
 
-def weight(j: int, alpha: int, k: int) -> int:
-    """Sum of densities over Z(j, alpha, k); k = 0 is an alias for k = 1,
-    and the weight is 0 for negative alpha."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    if not 0 <= k <= j:
-        raise ValueError(f"k must satisfy 0 <= k <= j, got k={k}, j={j}")
-    if alpha < 0:
-        return 0
-    return sum(density(beta) for beta in enumerate_compositions(j, alpha, max(k, 1)))
-
-
 @lru_cache(maxsize=None)
 def weight_A_coefficients(j: int) -> dict[int, Fraction]:
     """The rational coefficients A[m] (1 <= m <= j) in the closed form for
@@ -98,7 +86,8 @@ def weight_A_coefficients(j: int) -> dict[int, Fraction]:
 
 
 def weight_closed_form(j: int, alpha: int, k: int) -> int:
-    """weight(j, alpha, k) evaluated through the A-coefficient closed form:
+    """The weight of Z(j, alpha, k), the sum of its densities, evaluated
+    through the A-coefficient closed form:
 
         sum over m in [k, j] of m^(m-k)/(m-k)! * A[m] * m^alpha.
 

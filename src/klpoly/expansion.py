@@ -25,7 +25,7 @@ from .combinatorics import (
     sum_of_products,
     weight_A_coefficients,
 )
-from .diffalg import DiffPolynomial, Monomial, canonical_monomial
+from .diffalg import DiffPolynomial, canonical_monomial
 
 
 class KLExpansion(NamedTuple):
@@ -41,24 +41,6 @@ class LinearPart(NamedTuple):
 
     n: int
     c: tuple[int, ...]
-
-
-def monomials(j: int, alpha: int) -> list[Monomial]:
-    """All degree-j, order-alpha differential monomials: partitions of
-    alpha into at most j parts, zero-padded to length j, as sorted tuples."""
-
-    out: list[Monomial] = []
-
-    def ascending(total: int, slots: int, minimum: int, acc: tuple[int, ...]):
-        if slots == 0:
-            if total == 0:
-                out.append(acc)
-            return
-        for v in range(minimum, total + 1):
-            ascending(total - v, slots - 1, v, acc + (v,))
-
-    ascending(alpha, j, 0, ())
-    return out
 
 
 def _rising_factorial_row(length: int) -> list[int]:
@@ -135,15 +117,17 @@ def _p_sums(j: int, alpha: int, k: int) -> DiffPolynomial:
     return s
 
 
-def _alternating_weights(n: int, j: int, alpha: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=64)
+def _alternating_weights(n: int, j: int, alpha: int) -> tuple[tuple[int, int], ...]:
     """(k', (-1)^(j-k) C(n,k) S(n-k-1, n-j-α)) for each k in [0, j] whose
     weight is non-zero, k' = max(k, 1) naming the family Z(j, α, k') whose
-    P-sums the k-th summand of the closed form reads."""
-    return [
+    P-sums the k-th summand of the closed form reads.  Cached because the
+    closed form asks for the same row once per monomial at (j, α)."""
+    return tuple(
         (max(k, 1), (-1) ** (j - k) * comb(n, k) * s)
         for k in range(j + 1)
         if (s := sum_of_products(n - k - 1, n - j - alpha))
-    ]
+    )
 
 
 def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> int:
@@ -162,23 +146,30 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
         raise ValueError(f"monomial {pi} does not sit at (j={j}, alpha={alpha})")
     total = 0
     for k, w in _alternating_weights(n, j, alpha):
-        total += w * _p_sums(j, alpha, k)[pi, 0]
+        total += w * _p_sums(j, alpha, k)._terms.get((pi, 0), 0)
     return total
 
 
 @lru_cache(maxsize=None)
 def kl_closed_form(n: int) -> KLExpansion:
-    """Assemble f_{n,λ}(u) from the closed-form coefficients over the full
-    (j, α, π) grid."""
+    """Assemble f_{n,λ}(u) from the closed-form coefficients.
+
+    The coefficient at (j, α, π) is a weighted sum of the P-sums S_k(j, α)
+    at π, so it can be non-zero only where π is a monomial of some S_k(j, α)
+    of non-zero weight: assembly runs over the union of those supports."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    terms = {
-        (pi, n - j - alpha): coefficient_closed_form(n, j, alpha, pi)
-        for j in range(1, n + 1)
-        for alpha in range(n - j + 1)
-        for pi in monomials(j, alpha)
-    }
-    return KLExpansion(n=n, poly=DiffPolynomial(terms), provenance="closed_form")
+    terms = {}
+    for j in range(1, n + 1):
+        for alpha in range(n - j + 1):
+            # the keys (π, 0) of every weighted S_k(j, α)
+            support = set().union(
+                *(_p_sums(j, alpha, k)._terms for k, _ in _alternating_weights(n, j, alpha))
+            )
+            for pi, _ in support:
+                if c := coefficient_closed_form(n, j, alpha, pi):
+                    terms[pi, n - j - alpha] = c
+    return KLExpansion(n=n, poly=DiffPolynomial._wrap(terms), provenance="closed_form")
 
 
 def c_star(n: int, j: int) -> int:

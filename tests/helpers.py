@@ -4,7 +4,8 @@ suite."""
 import cmath
 from dataclasses import dataclass
 
-from klpoly import DiffPolynomial
+from klpoly import DiffPolynomial, density, enumerate_compositions
+from klpoly.diffalg import Monomial
 
 
 def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
@@ -12,6 +13,36 @@ def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
     return DiffPolynomial(
         {(orders, e): c for orders, lam in spec.items() for e, c in lam.items()}
     )
+
+
+def monomials(j: int, alpha: int) -> list[Monomial]:
+    """All degree-j, order-alpha differential monomials: partitions of
+    alpha into at most j parts, zero-padded to length j, as sorted tuples."""
+
+    out: list[Monomial] = []
+
+    def ascending(total: int, slots: int, minimum: int, acc: tuple[int, ...]):
+        if slots == 0:
+            if total == 0:
+                out.append(acc)
+            return
+        for v in range(minimum, total + 1):
+            ascending(total - v, slots - 1, v, acc + (v,))
+
+    ascending(alpha, j, 0, ())
+    return out
+
+
+def weight(j: int, alpha: int, k: int) -> int:
+    """Sum of densities over Z(j, alpha, k); k = 0 is an alias for k = 1,
+    and the weight is 0 for negative alpha."""
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    if not 0 <= k <= j:
+        raise ValueError(f"k must satisfy 0 <= k <= j, got k={k}, j={j}")
+    if alpha < 0:
+        return 0
+    return sum(density(beta) for beta in enumerate_compositions(j, alpha, max(k, 1)))
 
 
 @dataclass(frozen=True)

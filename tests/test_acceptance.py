@@ -30,7 +30,6 @@ from klpoly import (
     sum_of_products,
     sum_of_products_enumerated,
     thm5_verdict,
-    weight,
     weight_closed_form,
 )
 from klpoly.cli import main
@@ -39,7 +38,7 @@ from klpoly.reductions import h_at_root_of_unity_numeric
 from klpoly.serialize import poly_to_json
 from math import comb
 
-from helpers import ExpSolution, evaluate_at_exponential
+from helpers import ExpSolution, evaluate_at_exponential, weight
 
 
 class Timer:

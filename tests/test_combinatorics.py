@@ -16,12 +16,11 @@ from klpoly import (
     product_rule_coefficient,
     sum_of_products,
     sum_of_products_enumerated,
-    weight,
     weight_A_coefficients,
     weight_closed_form,
 )
 from klpoly.reductions import reduce_first_order
-from helpers import dp
+from helpers import dp, weight
 
 TABLE_432 = {
     (0, 0, 0, 3): 64,

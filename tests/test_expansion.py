@@ -23,15 +23,30 @@ from klpoly import (
     kth_term,
     linear_factorization,
     linear_part,
-    monomials,
     weight_A_coefficients,
 )
 from klpoly import expansion
 from klpoly.expansion import _p_sums
 from klpoly.serialize import poly_to_json
-from helpers import dp
+from helpers import dp, monomials
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def comb_without_cancellation(monkeypatch):
+    """C(n, k) replaced by 10^k + 1 inside expansion, so that no alternating
+    sum over k cancels.  The caches that hold weights are emptied once the
+    patch is in and again once it is undone, so no test reads weights made
+    under the other comb."""
+    cached = (expansion._alternating_weights, kl_closed_form)
+    monkeypatch.setattr(expansion, "comb", lambda n, k: 10**k + 1)
+    for f in cached:
+        f.cache_clear()
+    yield
+    monkeypatch.undo()
+    for f in cached:
+        f.cache_clear()
 
 
 def test_kth_term_n3_k1():
@@ -92,6 +107,24 @@ def test_coefficient_closed_form_values():
     assert coefficient_closed_form(3, 1, 2, (2,)) == 2
     assert coefficient_closed_form(3, 1, 0, (0,)) == -2
     assert coefficient_closed_form(3, 2, 1, (0, 1)) == 0
+
+
+def test_closed_form_assembly_misses_no_monomial(comb_without_cancellation):
+    # kl_closed_form visits only the monomials of the weighted P-sums; the
+    # reference visits the whole (j, α, π) grid.  With weights that cannot
+    # cancel, a monomial the assembly skipped shows as a missing term
+    grid = nonzero = 0
+    for n in range(1, 13):
+        expected = {
+            (pi, n - j - alpha): coefficient_closed_form(n, j, alpha, pi)
+            for j in range(1, n + 1)
+            for alpha in range(n - j + 1)
+            for pi in monomials(j, alpha)
+        }
+        grid += len(expected)
+        nonzero += sum(1 for c in expected.values() if c)
+        assert kl_closed_form.__wrapped__(n).poly == DiffPolynomial(expected), n
+    assert (grid, nonzero) == (877, 875)
 
 
 def test_closed_form_matches_direct():
@@ -171,11 +204,10 @@ def test_c_star_vanishes():
             assert c_star_factorial_form(n, j) == Fraction(0)
 
 
-def test_c_star_factorial_form_matches_the_fraction_product(monkeypatch):
+def test_c_star_factorial_form_matches_the_fraction_product(comb_without_cancellation):
     # for each m the alternating sum over k of C(n, k)·(n−k+m−1)!/(m−k)!
     # cancels, so weights 10^k + 1 in place of C(n, k) make every term
     # count; the reference takes one Fraction per factor
-    monkeypatch.setattr(expansion, "comb", lambda n, k: 10**k + 1)
     for j in range(1, 9):
         a = weight_A_coefficients(j)
         for n in range(j, 15):
@@ -194,11 +226,10 @@ def test_c_star_factorial_form_matches_the_fraction_product(monkeypatch):
             assert c_star_factorial_form(n, j) == total, (n, j)
 
 
-def test_c_star_matches_the_sum_over_every_monomial(monkeypatch):
+def test_c_star_matches_the_sum_over_every_monomial(comb_without_cancellation):
     # c* reads the coefficient totals of S_k(j, α); the reference sums the
     # closed form coefficient by coefficient.  c* itself is always 0, so
     # weights 10^k + 1 in place of C(n, k) make every term count
-    monkeypatch.setattr(expansion, "comb", lambda n, k: 10**k + 1)
     for n in range(1, 13):
         for j in range(1, n + 1):
             total = sum(
