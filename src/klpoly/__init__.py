@@ -18,7 +18,6 @@ from .combinatorics import (
 )
 from .expansion import (
     KLExpansion,
-    LinearPart,
     c_alpha_formula,
     c_star,
     c_star_factorial_form,

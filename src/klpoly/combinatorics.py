@@ -85,26 +85,23 @@ def weight_A_coefficients(j: int) -> dict[int, Fraction]:
     return a
 
 
-def weight_closed_form(j: int, alpha: int, k: int) -> int:
+def weight_closed_form(j: int, alpha: int, k: int) -> Fraction:
     """The weight of Z(j, alpha, k), the sum of its densities, evaluated
     through the A-coefficient closed form:
 
         sum over m in [k, j] of m^(m-k)/(m-k)! * A[m] * m^alpha.
 
-    The rational sum must come out integral; a non-integral result signals
-    an implementation bug.
+    The exact rational sum; the weights suite compares it with the
+    enumerated densities, so a non-integral value fails there.
     """
     if not 1 <= k <= j:
         raise ValueError(f"k must satisfy 1 <= k <= j, got k={k}, j={j}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     a = weight_A_coefficients(j)
-    total = sum(
+    return sum(
         a[m] * Fraction(m ** (m - k + alpha), factorial(m - k)) for m in range(k, j + 1)
     )
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral weight for ({j}, {alpha}, {k}): {total}")
-    return int(total)
 
 
 def sum_of_products(n: int, alpha: int) -> int:

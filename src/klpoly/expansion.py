@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .combinatorics import (
     differential_word,
     enumerate_compositions,
+    g_poly,
     sum_of_products,
     weight_A_coefficients,
 )
@@ -31,16 +32,8 @@ from .diffalg import DiffPolynomial, canonical_monomial
 class KLExpansion(NamedTuple):
     """An expanded f_{n,λ}(u) together with how it was built."""
 
-    n: int
     poly: DiffPolynomial
     provenance: str  # "direct" or "closed_form"
-
-
-class LinearPart(NamedTuple):
-    """The degree-1 slice of f_{n,λ}(u): coefficients c[α] of λ^(n-1-α) u^(α)."""
-
-    n: int
-    c: tuple[int, ...]
 
 
 def _rising_factorial_row(length: int) -> list[int]:
@@ -88,7 +81,7 @@ def kl_direct(n: int) -> KLExpansion:
         for key, c in kth_term(n, k).items():
             terms[key] = terms.get(key, 0) + c
     poly = DiffPolynomial._wrap({key: c for key, c in terms.items() if c})
-    return KLExpansion(n=n, poly=poly, provenance="direct")
+    return KLExpansion(poly=poly, provenance="direct")
 
 
 @lru_cache(maxsize=None)
@@ -104,13 +97,11 @@ def _p_sums(j: int, alpha: int, k: int) -> DiffPolynomial:
         S_k(j, α) = u·S_k(j−1, α) + ∂S_k(j, α−1),   S_k(j, −1) = 0,
 
     and the row j = k, whose family is the one composition (0, …, 0, α),
-    is the sum of its words.
+    is its word.
     """
     if j == k:
-        return sum(
-            (differential_word(beta) for beta in enumerate_compositions(k, alpha, k)),
-            DiffPolynomial.zero(),
-        )
+        (beta,) = enumerate_compositions(k, alpha, k)
+        return differential_word(beta)
     s = _p_sums(j - 1, alpha, k).multiply_by_u()
     if alpha:
         s = s + _p_sums(j, alpha - 1, k).differentiate()
@@ -155,21 +146,18 @@ def kl_closed_form(n: int) -> KLExpansion:
     """Assemble f_{n,λ}(u) from the closed-form coefficients.
 
     The coefficient at (j, α, π) is a weighted sum of the P-sums S_k(j, α)
-    at π, so it can be non-zero only where π is a monomial of some S_k(j, α)
-    of non-zero weight: assembly runs over the union of those supports."""
+    at π.  Every Z(j, α, k) lies inside Z(j, α, 1) and word coefficients are
+    positive, so only a monomial of S_1(j, α) can have a non-zero
+    coefficient: assembly runs over those."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     terms = {}
     for j in range(1, n + 1):
         for alpha in range(n - j + 1):
-            # the keys (π, 0) of every weighted S_k(j, α)
-            support = set().union(
-                *(_p_sums(j, alpha, k)._terms for k, _ in _alternating_weights(n, j, alpha))
-            )
-            for pi, _ in support:
+            for pi, _ in _p_sums(j, alpha, 1)._terms:
                 if c := coefficient_closed_form(n, j, alpha, pi):
                     terms[pi, n - j - alpha] = c
-    return KLExpansion(n=n, poly=DiffPolynomial._wrap(terms), provenance="closed_form")
+    return KLExpansion(poly=DiffPolynomial._wrap(terms), provenance="closed_form")
 
 
 def c_star(n: int, j: int) -> int:
@@ -211,7 +199,7 @@ def c_star_factorial_form(n: int, j: int) -> Fraction:
     return total
 
 
-def linear_part(n: int) -> LinearPart:
+def linear_part(n: int) -> tuple[int, ...]:
     """Extract the degree-1 coefficients from the directly built polynomial:
     c[α] is the integer attached to λ^(n-1-α) u^(α)."""
     if n < 2:
@@ -219,7 +207,7 @@ def linear_part(n: int) -> LinearPart:
     poly = kl_direct(n).poly
     # a list, not a generator: thm5's cross-check calls this once per rate, and
     # as a generator it raised `verify all`'s peak RSS by 0.1 MiB on Python 3.11
-    return LinearPart(n=n, c=tuple([poly[(alpha,), n - 1 - alpha] for alpha in range(n)]))
+    return tuple([poly[(alpha,), n - 1 - alpha] for alpha in range(n)])
 
 
 def c_alpha_formula(n: int, alpha: int) -> int:
@@ -239,14 +227,8 @@ def h_poly(n: int) -> list[int]:
     z^α equals the linear-part coefficient c[n-1-α]."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    coeffs = [n - 1, -(n - 1)]
-    for m in range(1, n - 1):
-        coeffs = [
-            (coeffs[i] if i < len(coeffs) else 0)
-            + (m * coeffs[i - 1] if i > 0 else 0)
-            for i in range(len(coeffs) + 1)
-        ]
-    return coeffs
+    g = g_poly(n - 2) if n > 2 else [1]
+    return [(n - 1) * (a - b) for a, b in zip(g + [0], [0] + g)]
 
 
 def linear_factorization(n: int) -> DiffPolynomial:
@@ -264,15 +246,12 @@ def linear_factorization(n: int) -> DiffPolynomial:
 
 
 def kernel_exponents(n: int) -> list[int]:
-    """The multipliers c with e^(cλx) annihilated by the linear part:
-    1, -1, -2, ..., -(n-2).  Each is verified exactly against the
-    coefficient polynomial sum of c[α] z^α before being returned."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    c = linear_part(n).c
-    roots = [1] + [-a for a in range(1, n - 1)]
-    for z in roots:
-        value = sum(coeff * z**alpha for alpha, coeff in enumerate(c))
-        if value != 0:
-            raise ArithmeticError(f"claimed kernel exponent {z} fails for n={n}")
-    return roots
+    """The candidates z among 1, -1, -2, ..., -(n-2), in that order, at which
+    h(z) = Σ c[α] z^α of the built linear part vanishes: the multipliers z
+    with e^(zλx) annihilated by it.  By theory every candidate survives."""
+    c = linear_part(n)
+    return [
+        z
+        for z in [1, *range(-1, 1 - n, -1)]
+        if not sum(coeff * z**alpha for alpha, coeff in enumerate(c))
+    ]

@@ -19,7 +19,7 @@ from math import ceil, cos, gcd, log2, pi, sin
 from typing import NamedTuple
 
 from .diffalg import DiffPolynomial
-from .expansion import LinearPart, kl_direct, linear_part
+from .expansion import kl_direct, linear_part
 
 # decimal digits of the thm5 cross-check, and the fixed-point bits that
 # carry them with 64 guard bits
@@ -83,7 +83,7 @@ def thm5_verdict(n: int, m: int) -> set[int]:
     holds exactly when Φ_d divides h over ℤ."""
     if n < 3 or m < 3:
         raise ValueError(f"need n >= 3 and m >= 3, got n={n}, m={m}")
-    h = linear_part(n).c[::-1]
+    h = linear_part(n)[::-1]
     zero_orders = {
         d for d in range(1, m + 1) if m % d == 0 and not any(_divmod_monic(h, cyclotomic(d))[1])
     }
@@ -119,18 +119,18 @@ def _roots_of_unity(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(roots)
 
 
-def h_at_root_of_unity_numeric(lp: LinearPart, m: int, r: int) -> Decimal:
-    """|h(ζ^r)| for the built linear part lp = linear_part(n), to PRECISION
+def h_at_root_of_unity_numeric(c: tuple[int, ...], m: int, r: int) -> Decimal:
+    """|h(ζ^r)| for the built linear part c = linear_part(n), to PRECISION
     digits, as a cross-check on the exact verdicts: h(ζ^r) =
-    Σ c[i] ζ^(r(n−1−i)), two exact integer dot products of the coefficients
-    with the real and imaginary parts of the reduced powers of ζ."""
+    Σ c[i] ζ^(r(n−1−i)), n = len(c), two exact integer dot products of the
+    coefficients with the real and imaginary parts of the reduced powers of ζ."""
     roots = _roots_of_unity(m)
-    n = lp.n
+    n = len(c)
     x = y = 0
-    for i, c in enumerate(lp.c):
+    for i, coeff in enumerate(c):
         re, im = roots[r * (n - 1 - i) % m]
-        x += c * re
-        y += c * im
+        x += coeff * re
+        y += coeff * im
     return _CONTEXT.divide(_CONTEXT.sqrt(Decimal(x * x + y * y)), Decimal(_ONE))
 
 

@@ -127,11 +127,11 @@ def test_criterion_07_second_identity(capsys):
 def test_criterion_08_linear_chain(capsys):
     with Timer() as t:
         for n in range(2, 13):
-            lp = linear_part(n)
+            c = linear_part(n)
             h = h_poly(n)
-            assert all(lp.c[a] == c_alpha_formula(n, a) for a in range(n))
-            assert h == [lp.c[n - 1 - a] for a in range(n)]
-            graded = DiffPolynomial({((a,), n - 1 - a): lp.c[a] for a in range(n)})
+            assert all(c[a] == c_alpha_formula(n, a) for a in range(n))
+            assert h == [c[n - 1 - a] for a in range(n)]
+            graded = DiffPolynomial({((a,), n - 1 - a): c[a] for a in range(n)})
             assert linear_factorization(n) == graded
     with capsys.disabled():
         report(8, "linear coefficients = formula = reversed h = factorization, n <= 12", t, 10.0)
@@ -140,13 +140,13 @@ def test_criterion_08_linear_chain(capsys):
 def test_criterion_09_surviving_rates(capsys):
     with Timer() as t:
         for n in range(3, 11):
-            lp = linear_part(n)
+            c = linear_part(n)
             for m in range(3, 11):
                 expected = {0} if m % 2 else {0, m // 2}
                 verdict = thm5_verdict(n, m)
                 assert verdict == expected
                 for r in range(m):
-                    numeric = h_at_root_of_unity_numeric(lp, m, r)
+                    numeric = h_at_root_of_unity_numeric(c, m, r)
                     assert (numeric < 1e-50) == (r in verdict)
     with capsys.disabled():
         report(9, "surviving exponential rates match theory and 110-digit numerics", t, 30.0)

@@ -6,16 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpoly import cli, expansion, reductions
+from klpoly import cli, combinatorics, expansion, reductions
 from klpoly.cli import main
 from klpoly.diffalg import DiffPolynomial
-from klpoly.expansion import LinearPart, h_poly
+from klpoly.expansion import h_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,7 +70,7 @@ def test_one_n_commands_check_their_range_before_any_work(capsys, monkeypatch):
     # the work is stubbed: only the range check is under test
     work = []
     stubs = {
-        "linear_part": lambda n: work.append(n) or LinearPart(n, (0,) * n),
+        "linear_part": lambda n: work.append(n) or (0,) * n,
         "c_star": lambda n, j: work.append(n) or 0,
         "c_star_factorial_form": lambda n, j: 0,
         "h_poly": lambda n: work.append(n) or [0],
@@ -289,6 +290,43 @@ def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bou
     assert f" {len(failing)} failed, " in lines[-1], out
 
 
+def test_non_integral_weight_closed_form_fails_by_name(capsys, monkeypatch):
+    # a closed form off by 1/2 is a failed check (exit 1), not an internal error
+    original = combinatorics.weight_A_coefficients
+    monkeypatch.setattr(
+        combinatorics,
+        "weight_A_coefficients",
+        lambda j: {**original(j), 1: original(j)[1] + Fraction(1, 2)},
+    )
+    argv = ["verify", "weights", "--n-max", "2"]
+    assert check_status(capsys, argv, "weight-closed-form j,k<= 2 alpha<=2") == (1, "fail")
+
+
+@pytest.mark.parametrize(
+    "change, kept",
+    [
+        # one coefficient moves h(z) by z^0 = 1 at every candidate
+        (lambda c: (c[0] + 1, *c[1:]), []),
+        # 1 − z moves h(z) at every candidate but z = 1
+        (lambda c: (c[0] + 1, c[1] - 1, *c[2:]), [1]),
+    ],
+)
+def test_kernel_exponents_drop_the_candidates_a_changed_linear_part_misses(
+    capsys, monkeypatch, change, kept
+):
+    # only kernel_exponents reads the changed part: the other checks stay
+    original = expansion.linear_part
+    monkeypatch.setattr(
+        expansion, "linear_part", lambda n: change(original(n)) if n == 4 else original(n)
+    )
+    assert expansion.kernel_exponents(4) == kept
+    assert expansion.kernel_exponents(3) == [1, -1]
+    argv = ["verify", "linear", "--n-max", "4", "--format", "json", "--no-timing"]
+    code, out = run(capsys, argv)
+    failed = [c["check"] for c in json.loads(out)["checks"] if c["status"] != "pass"]
+    assert (code, failed) == (1, ["kernel-exponents n=4"])
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -296,7 +334,7 @@ def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bou
         # only its mirror, so both are compared with the verdict
         ("thm5_verdict", lambda n, m: {0, 1}),
         ("thm5_verdict", lambda n, m: {0, 2}),
-        ("h_at_root_of_unity_numeric", lambda lp, m, r: 0),
+        ("h_at_root_of_unity_numeric", lambda c, m, r: 0),
     ],
 )
 def test_numeric_crosscheck_fails_on_a_changed_side(capsys, monkeypatch, name, value):
@@ -372,6 +410,14 @@ def test_verify_identities_24_golden(capsys):
     code, out = run(capsys, argv)
     assert code == 0
     assert out == (GOLDEN / "verify_identities_24.json").read_text()
+
+
+def test_verify_linear_24_golden(capsys):
+    # every linear-part check up to the largest n
+    argv = ["verify", "linear", "--n-max", "24", "--format", "json", "--no-timing"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / "verify_linear_24.json").read_text()
 
 
 def test_verify_thm5_20_golden(capsys):

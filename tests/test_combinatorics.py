@@ -183,8 +183,10 @@ def test_weight_A_coefficients():
 
 
 def test_weight_closed_form_examples():
-    assert weight_closed_form(4, 3, 2) == 285
-    assert weight_closed_form(4, 5, 2) == 6069
+    # the exact Fraction, integral wherever the closed form is right
+    assert weight_closed_form(4, 3, 2) == Fraction(285)
+    assert weight_closed_form(4, 5, 2) == Fraction(6069)
+    assert type(weight_closed_form(4, 3, 2)) is Fraction
     for j in range(1, 7):
         assert weight_closed_form(j, 0, j) == 1
 

@@ -110,8 +110,8 @@ def test_coefficient_closed_form_values():
 
 
 def test_closed_form_assembly_misses_no_monomial(comb_without_cancellation):
-    # kl_closed_form visits only the monomials of the weighted P-sums; the
-    # reference visits the whole (j, α, π) grid.  With weights that cannot
+    # kl_closed_form visits only the monomials of S_1(j, α); the reference
+    # visits the whole (j, α, π) grid.  With weights that cannot
     # cancel, a monomial the assembly skipped shows as a missing term
     grid = nonzero = 0
     for n in range(1, 13):
@@ -146,6 +146,17 @@ def test_p_sums_recurrence_matches_enumeration():
                 words = [differential_word(b) for b in enumerate_compositions(j, alpha, k)]
                 expected = sum(words, DiffPolynomial.zero())
                 assert _p_sums(j, alpha, k) == expected, (j, alpha, k)
+
+
+def test_p_sums_supports_lie_in_the_first_family():
+    # kl_closed_form assembles over the keys of S_1(j, α): they are every
+    # monomial at (j, α), and the keys of each S_k(j, α) are among them
+    for j in range(1, 25):
+        for alpha in range(25 - j):
+            first = {key for key, _ in _p_sums(j, alpha, 1).items()}
+            assert first == {(pi, 0) for pi in monomials(j, alpha)}, (j, alpha)
+            for k in range(2, j + 1):
+                assert {key for key, _ in _p_sums(j, alpha, k).items()} <= first, (j, alpha, k)
 
 
 def test_closed_form_route_never_applies_an_operator_factor(monkeypatch):
@@ -253,8 +264,8 @@ def test_c_star_from_direct_expansion():
 
 
 def test_linear_part_examples():
-    assert linear_part(3).c == (-2, 0, 2)
-    assert linear_part(2).c == (-1, 1)
+    assert linear_part(3) == (-2, 0, 2)
+    assert linear_part(2) == (-1, 1)
 
 
 def test_c_alpha_formula():
@@ -262,9 +273,9 @@ def test_c_alpha_formula():
     assert c_alpha_formula(3, 1) == 0
     for n in range(2, 13):
         assert c_alpha_formula(n, n - 1) == n - 1
-        lp = linear_part(n)
+        c = linear_part(n)
         for alpha in range(n):
-            assert lp.c[alpha] == c_alpha_formula(n, alpha)
+            assert c[alpha] == c_alpha_formula(n, alpha)
 
 
 def test_h_poly_examples():
@@ -275,9 +286,15 @@ def test_h_poly_examples():
 def test_h_poly_reverses_linear_coefficients():
     for n in range(2, 13):
         h = h_poly(n)
-        lp = linear_part(n)
+        c = linear_part(n)
         assert len(h) == n
-        assert h == [lp.c[n - 1 - alpha] for alpha in range(n)]
+        assert h == [c[n - 1 - alpha] for alpha in range(n)]
+
+
+def test_h_poly_is_the_reversed_c_alpha_row():
+    # g_poly's product against the S(n, ·) rows that c_alpha_formula reads
+    for n in range(2, 201):
+        assert h_poly(n) == [c_alpha_formula(n, n - 1 - a) for a in range(n)], n
 
 
 def test_h_poly_rational_roots():
@@ -295,9 +312,9 @@ def test_linear_factorization_examples():
 
 def test_linear_factorization_matches_linear_part():
     for n in range(2, 13):
-        lp = linear_part(n)
+        c = linear_part(n)
         graded = DiffPolynomial(
-            {((alpha,), n - 1 - alpha): lp.c[alpha] for alpha in range(n)}
+            {((alpha,), n - 1 - alpha): c[alpha] for alpha in range(n)}
         )
         assert linear_factorization(n) == graded
 
@@ -307,18 +324,18 @@ def test_kernel_exponents():
     assert kernel_exponents(2) == [1]
     assert kernel_exponents(6) == [1, -1, -2, -3, -4]
     for n in range(2, 13):
-        roots = kernel_exponents(n)
-        assert len(roots) == n - 1
-        c = linear_part(n).c
-        for z in roots:
-            assert sum(coeff * z**alpha for alpha, coeff in enumerate(c)) == 0
+        # every candidate survives the built part's h(z) = Σ c[α] z^α
+        c = linear_part(n)
+        candidates = [1] + [-a for a in range(1, n - 1)]
+        assert [z for z in candidates if sum(x * z**a for a, x in enumerate(c))] == []
+        assert kernel_exponents(n) == candidates
 
 
 def test_lambda_zero_collapse():
     # at λ = 0 only the coefficient of u^(n-1) survives, with value n-1
     for n in range(2, 13):
-        lp = linear_part(n)
-        assert lp.c[n - 1] == n - 1
+        c = linear_part(n)
+        assert c[n - 1] == n - 1
 
 
 def test_argument_validation():

@@ -181,11 +181,11 @@ def test_thm5_verdicts():
 
 def test_numeric_crosscheck_at_110_digits():
     for n in range(3, 11):
-        lp = linear_part(n)
+        c = linear_part(n)
         for m in range(3, 11):
             surviving = thm5_verdict(n, m)
             for r in range(m):
-                magnitude = h_at_root_of_unity_numeric(lp, m, r)
+                magnitude = h_at_root_of_unity_numeric(c, m, r)
                 if r in surviving:
                     assert magnitude < 1e-50
                 else:
@@ -196,12 +196,12 @@ def test_numeric_crosscheck_matches_horner():
     # the oracle evaluates h at ζ^r itself, by Horner over the coefficients,
     # in mpmath; a Decimal reaches mpmath through its digit string
     for n in range(2, 21):
-        lp = linear_part(n)
+        c = linear_part(n)
         for m in range(1, 21):
             for r in range(m):
                 with mpmath.workdps(110):
-                    horner = abs(mpmath.polyval(lp.c, mpmath.expjpi(mpmath.mpf(2 * r) / m)))
-                    value = h_at_root_of_unity_numeric(lp, m, r)
+                    horner = abs(mpmath.polyval(c, mpmath.expjpi(mpmath.mpf(2 * r) / m)))
+                    value = h_at_root_of_unity_numeric(c, m, r)
                     assert abs(horner - mpmath.mpf(str(value))) < 1e-90, (n, m, r)
 
 
