@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, perm, prod
+from math import comb, factorial, prod
 from operator import sub
 
 from .diffalg import DiffPolynomial
@@ -68,21 +68,24 @@ def density(beta: Composition) -> int:
 
 
 @lru_cache(maxsize=None)
-def weight_A_coefficients(j: int) -> dict[int, Fraction]:
+def weight_A_coefficients(j: int) -> tuple[Fraction, ...]:
     """The rational coefficients A[m] (1 <= m <= j) in the closed form for
-    the weight, computed bottom-up from A[j] = 1 by
+    the weight, indexed by m, computed bottom-up from A[j] = 1 by
 
         A[k] = -k * sum over m in (k, j] of m^(m-k-1)/(m-k)! * A[m].
+
+    Index 0 holds 0, the recurrence's value at k = 0.  A tuple, so no
+    caller can change the cached values.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    a: dict[int, Fraction] = {j: Fraction(1)}
+    a = [Fraction(0)] * j + [Fraction(1)]
     for k in range(j - 1, 0, -1):
         a[k] = -k * sum(
             Fraction(m ** (m - k - 1), factorial(m - k)) * a[m]
             for m in range(k + 1, j + 1)
         )
-    return a
+    return tuple(a)
 
 
 def weight_closed_form(j: int, alpha: int, k: int) -> Fraction:
@@ -171,11 +174,7 @@ def generalized_binomial(top: int, q: int) -> int:
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
     # for top < 0 the q factors are −(q−top−1), …, −(−top)
-    num = perm(top, q) if top >= 0 else (-1) ** q * perm(q - top - 1, q)
-    den = factorial(q)
-    if num % den:
-        raise ArithmeticError(f"non-integral binomial ({top}, {q})")
-    return num // den
+    return comb(top, q) if top >= 0 else (-1) ** q * comb(q - top - 1, q)
 
 
 def convolution(n: int, m: int) -> int:

@@ -41,19 +41,6 @@ class LambdaPolynomial:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}·λ")
-            else:
-                parts.append(f"{c}·λ^{e}")
-        return " + ".join(parts)
-
 
 def canonical_monomial(orders: Iterable[int]) -> Monomial:
     """The monomial with these derivative orders: the orders sorted
@@ -96,10 +83,6 @@ class DiffPolynomial:
         return p
 
     @classmethod
-    def zero(cls) -> "DiffPolynomial":
-        return cls()
-
-    @classmethod
     def u_power(cls, k: int) -> "DiffPolynomial":
         """The monomial u^k (k = 0 gives the constant 1)."""
         return cls._wrap({((0,) * k, 0): 1})
@@ -139,12 +122,6 @@ class DiffPolynomial:
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
         return self._wrap(_pruned(out))
-
-    def __neg__(self) -> "DiffPolynomial":
-        return self._wrap({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        return self + (-other)
 
     def scale(self, c: int, lam: int = 0) -> "DiffPolynomial":
         """Multiply by c·λ^lam."""

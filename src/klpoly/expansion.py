@@ -241,7 +241,7 @@ def linear_factorization(n: int) -> DiffPolynomial:
     p = DiffPolynomial.u_power(1)
     for a in range(1, n - 1):
         p = p.differentiate() + p.scale(a, lam=1)
-    p = p.differentiate() - p.scale(1, lam=1)
+    p = p.differentiate() + p.scale(-1, lam=1)
     return p.scale(n - 1)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from decimal import Context, Decimal
 from functools import lru_cache
 from math import ceil, cos, gcd, log2, pi, sin
-from typing import NamedTuple
 
 from .diffalg import DiffPolynomial
 from .expansion import kl_direct, linear_part
@@ -134,39 +133,13 @@ def h_at_root_of_unity_numeric(c: tuple[int, ...], m: int, r: int) -> Decimal:
     return _CONTEXT.divide(_CONTEXT.sqrt(Decimal(x * x + y * y)), Decimal(_ONE))
 
 
-class LambdaZeroVerdict(NamedTuple):
-    """What survives of the linear part at λ = 0, and the induced lower
-    bound on any vanishing pattern when u^(m) = 0 minimally."""
-
-    k: int
-    modulus: int
-    leading_coefficient: int
-    only_term_is_kth_derivative: bool
-    min_vanishing_index: int
-
-    @property
-    def ok(self) -> bool:
-        return self.only_term_is_kth_derivative and self.leading_coefficient == self.k
-
-
-def lambda_zero_pattern(m: int, k: int) -> LambdaZeroVerdict:
-    """At λ = 0 the linear part of the (k+1)-st polynomial collapses to a
-    single term k * u^(k); its vanishing therefore forces u^(k) = 0.  If m
-    is minimal with u^(m) = 0, a vanishing pattern can only start at
-    index m + 1."""
-    if m < 1 or k < 1:
-        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+def lambda_zero_pattern(m: int, k: int) -> dict[int, int]:
+    """Every λ^0 degree-1 term of the built (k+1)-st polynomial, as
+    {t: coefficient of u^(t)}.  By theory the linear part collapses at
+    λ = 0 to the single term k·u^(k), so this is {k: k}, and its vanishing
+    forces u^(k) = 0.  m, the least order with u^(m) = 0, is not read; it
+    stays because perfbench's tests call lambda_zero_pattern(1, 3)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     poly = kl_direct(k + 1).poly
-    # keep only λ^0 coefficients of degree-1 monomials
-    surviving = {
-        mono[0]: c for (mono, e), c in poly.items() if len(mono) == 1 and e == 0
-    }
-    leading = surviving.get(k, 0)
-    only_kth = set(surviving) == {k}
-    return LambdaZeroVerdict(
-        k=k,
-        modulus=m,
-        leading_coefficient=leading,
-        only_term_is_kth_derivative=only_kth,
-        min_vanishing_index=m + 1,
-    )
+    return {mono[0]: c for (mono, e), c in poly.items() if len(mono) == 1 and e == 0}

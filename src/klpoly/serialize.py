@@ -73,6 +73,12 @@ def _lambda_text(exp: int) -> str:
     return "λ" if exp == 1 else f"λ^{exp}"
 
 
+def lambda_coeff_text(coeff: LambdaPolynomial) -> str:
+    """A λ-coefficient as its powers summed in ascending order, "0" when
+    it is empty."""
+    return " + ".join(f"{c}·{_lambda_text(e)}" if e else str(c) for e, c in coeff.items()) or "0"
+
+
 def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
     """Render one term; returns (sign, body) with sign in {+1, -1}.
 

@@ -296,7 +296,7 @@ def test_non_integral_weight_closed_form_fails_by_name(capsys, monkeypatch):
     monkeypatch.setattr(
         combinatorics,
         "weight_A_coefficients",
-        lambda j: {**original(j), 1: original(j)[1] + Fraction(1, 2)},
+        lambda j: tuple(a + Fraction(m == 1, 2) for m, a in enumerate(original(j))),
     )
     argv = ["verify", "weights", "--n-max", "2"]
     assert check_status(capsys, argv, "weight-closed-form j,k<= 2 alpha<=2") == (1, "fail")
@@ -344,19 +344,29 @@ def test_numeric_crosscheck_fails_on_a_changed_side(capsys, monkeypatch, name, v
     assert check_status(capsys, argv, "numeric-crosscheck n=3 m=3") == (1, "fail")
 
 
-def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch):
-    # 1 more λ^0·u^(n−1) in every kl_direct(n), which the λ = 0 slice reads
+def check_lambda_zero_collapse_fails(capsys, monkeypatch, order):
+    # 1 more λ^0·u^(order(n)) in every kl_direct(n), which the λ = 0 slice reads
     original = expansion.kl_direct
 
     def perturbed(n):
         built = original(n)
-        return built._replace(poly=built.poly + DiffPolynomial({((n - 1,), 0): 1}))
+        return built._replace(poly=built.poly + DiffPolynomial({((order(n),), 0): 1}))
 
     argv = ["verify", "linear", "--n-max", "3"]
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (0, "pass")
     for module in (cli, expansion, reductions):
         monkeypatch.setattr(module, "kl_direct", perturbed)
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (1, "fail")
+
+
+def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch):
+    # the coefficient of u^(n−1) moves from n − 1 to n
+    check_lambda_zero_collapse_fails(capsys, monkeypatch, lambda n: n - 1)
+
+
+def test_lambda_zero_collapse_fails_on_a_second_term(capsys, monkeypatch):
+    # (n − 1)·u^(n−1) keeps its value but is no longer the only term
+    check_lambda_zero_collapse_fails(capsys, monkeypatch, lambda n: n - 2)
 
 
 # (suite, check, cli function it reads, arguments of the changed call, change)
@@ -404,28 +414,24 @@ def test_check_fails_on_one_changed_value(capsys, monkeypatch, suite, check, nam
     assert check_status(capsys, argv, check) == (1, "fail")
 
 
-def test_verify_identities_24_golden(capsys):
-    # every first and second identity up to the largest n, even residuals included
-    argv = ["verify", "identities", "--n-max", "24", "--format", "json", "--no-timing"]
+# each suite at the end of its accepted range: every identity, even residuals
+# included; every linear-part check; every rate of every modulus 3..20; the
+# weight grid; every c* row
+LARGEST_GRIDS = {
+    "identities_24": ["identities", "--n-max", "24"],
+    "linear_24": ["linear", "--n-max", "24"],
+    "thm5_20": ["thm5", "--n-max", "20", "--m-max", "20"],
+    "weights_10": ["weights", "--n-max", "10"],
+    "cstar_28": ["cstar", "--n-max", "28"],
+}
+
+
+@pytest.mark.parametrize("golden", LARGEST_GRIDS)
+def test_verify_golden(capsys, golden):
+    argv = ["verify", *LARGEST_GRIDS[golden], "--format", "json", "--no-timing"]
     code, out = run(capsys, argv)
     assert code == 0
-    assert out == (GOLDEN / "verify_identities_24.json").read_text()
-
-
-def test_verify_linear_24_golden(capsys):
-    # every linear-part check up to the largest n
-    argv = ["verify", "linear", "--n-max", "24", "--format", "json", "--no-timing"]
-    code, out = run(capsys, argv)
-    assert code == 0
-    assert out == (GOLDEN / "verify_linear_24.json").read_text()
-
-
-def test_verify_thm5_20_golden(capsys):
-    # the largest thm5 grid, every rate of every modulus 3..20
-    argv = ["verify", "thm5", "--n-max", "20", "--m-max", "20", "--format", "json", "--no-timing"]
-    code, out = run(capsys, argv)
-    assert code == 0
-    assert out == (GOLDEN / "verify_thm5_20.json").read_text()
+    assert out == (GOLDEN / f"verify_{golden}.json").read_text()
 
 
 def run_child(script):

@@ -180,6 +180,21 @@ def test_weight_A_coefficients():
     assert a4[4] == 1
     assert a4[3] == -3
     assert a4[2] == 2
+    # W(j, α, k) is the complete homogeneous symmetric polynomial h_α(k, …, j),
+    # whose divided-difference form gives A[m] = (−m)^(j−m)/(j−m)!
+    for j in range(1, 31):
+        a = weight_A_coefficients(j)
+        assert len(a) == j + 1 and a[0] == 0
+        for m in range(1, j + 1):
+            assert a[m] == Fraction((-m) ** (j - m), factorial(j - m)), (j, m)
+
+
+def test_weight_A_coefficients_cache_is_read_only():
+    a4 = weight_A_coefficients(4)
+    with pytest.raises(TypeError):
+        a4[1] = Fraction(0)
+    assert weight_A_coefficients(4) == (0, Fraction(-1, 6), 2, -3, 1)
+    assert weight_closed_form(4, 3, 2) == 285
 
 
 def test_weight_closed_form_examples():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klpoly import DiffPolynomial, LambdaPolynomial
-from klpoly.serialize import poly_from_obj, poly_to_text
+from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_text
 from helpers import dp
 
 
@@ -71,6 +71,13 @@ def test_lambda_coefficients_through_the_flat_map():
         poly_to_text(p)
 
 
+def test_lambda_coeff_text():
+    # the even-n residuals of `verify identities` render this way
+    assert lambda_coeff_text(LambdaPolynomial()) == "0"
+    mixed = LambdaPolynomial({3: 7, 0: -2, 1: 1})
+    assert lambda_coeff_text(mixed) == "-2 + 1·λ + 7·λ^3"
+
+
 def test_differentiate_power_rule():
     # u^3 -> 3 u^2 u'
     assert DiffPolynomial.u_power(3).differentiate() == dp({(0, 0, 1): {0: 3}})
@@ -112,12 +119,12 @@ def test_apply_factor_worked_example():
 
 def test_apply_factor_on_zero():
     for m in range(4):
-        assert not DiffPolynomial.zero().apply_factor(m)
+        assert not DiffPolynomial().apply_factor(m)
 
 
 def test_add_and_scale():
     u = DiffPolynomial.u_power(1)
-    assert not u + (-u)
+    assert not u + u.scale(-1)
     assert dp({(2,): {0: 1}}).scale(2) == dp({(2,): {0: 2}})
     assert u.scale(-2, lam=2) == dp({(0,): {2: -2}})
     assert not u.scale(0, lam=3)
@@ -125,7 +132,7 @@ def test_add_and_scale():
 
 def test_canonicality_no_zero_terms():
     p = dp({(1,): {0: 3}, (0,): {1: 1}})
-    diff = p - p
+    diff = p + p.scale(-1)
     assert not diff
     assert diff.terms() == []
 
