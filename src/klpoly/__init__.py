@@ -10,7 +10,6 @@ from .combinatorics import (
     factorial_sum_check,
     g_poly,
     generalized_binomial,
-    product_rule_coefficient,
     sum_of_products,
     sum_of_products_enumerated,
     weight_A_coefficients,

@@ -63,8 +63,8 @@ TABLE_432_ORDER = [
 ]
 
 # Accepted n of the one-n commands, cold on 2 vCPUs (median of five, Python
-# 3.11): `expand 24` takes 0.6 s direct and 0.8 s by the closed form;
-# `linear 24`, which builds the same kl_direct(24), 0.4 s; `cstar 28` 1.4 s.
+# 3.11): `expand 24` takes 0.4 s direct and 0.5 s by the closed form;
+# `linear 24`, which builds the same kl_direct(24), 0.3 s; `cstar 28` 1.0 s.
 # `hpoly` stops where its largest coefficient (4113 digits at n = 1500, 1.5 s)
 # still converts to a decimal string under Python's default 4300-digit limit.
 EXPAND_MAX_N = 24
@@ -310,8 +310,8 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
 # ranges, for the bounds the suite takes); `verify all` runs them in this
 # order.  A range starts at the least bound that leaves a grid point; its end
 # was sized to a cold run of about 5 s on 2 vCPUs.  At the ends a cold run now
-# takes (median of five, Python 3.11): identities 24 1.3 s, cstar 28 1.7 s,
-# weights 10 1.8 s, linear 24 1.1 s, thm5 20/20 0.4 s.  A runner looks
+# takes (median of five, Python 3.11): identities 24 0.9 s, cstar 28 1.4 s,
+# weights 10 1.8 s, linear 24 0.9 s, thm5 20/20 0.4 s.  A runner looks
 # its suite up when called, so a wrapper installed on the module attribute (as
 # perfbench's tracer does) sees it.
 SUITES = {

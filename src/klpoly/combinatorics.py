@@ -56,12 +56,6 @@ def differential_word(beta: Composition) -> DiffPolynomial:
     return w
 
 
-def product_rule_coefficient(beta: Composition, pi: tuple[int, ...]) -> int:
-    """Multiplicity of the monomial pi (derivative orders, in any order) in
-    the differential word of beta."""
-    return differential_word(beta)[pi, 0]
-
-
 def density(beta: Composition) -> int:
     """Sum of all product rule coefficients of beta: ∏ m^beta[m-1]."""
     return prod(map(pow, range(1, len(beta) + 1), beta))

@@ -62,13 +62,12 @@ def kth_term(n: int, k: int) -> DiffPolynomial:
     row = _rising_factorial_row(length)
     binom = comb(n, k)
     word = DiffPolynomial.u_power(k)
-    terms = {}
+    buckets = {}
     for a in range(1, length + 1):
         word = word.apply_factor(0)
         weight = binom * row[a]
-        for (mono, _), c in word.items():
-            terms[mono, length - a] = weight * c
-    return DiffPolynomial._wrap(terms)
+        buckets[length - a] = {mono: weight * c for mono, c in word._buckets[0].items()}
+    return DiffPolynomial._wrap(buckets)
 
 
 @lru_cache(maxsize=None)
@@ -76,12 +75,13 @@ def kl_direct(n: int) -> KLExpansion:
     """Build f_{n,λ}(u) by direct operator application."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    terms = {((0,) * n, 0): 1}
+    buckets = {0: {(0,) * n: 1}}
     for k in range(n):
-        for key, c in kth_term(n, k).items():
-            terms[key] = terms.get(key, 0) + c
-    poly = DiffPolynomial._wrap({key: c for key, c in terms.items() if c})
-    return KLExpansion(poly=poly, provenance="direct")
+        for e, bucket in kth_term(n, k)._buckets.items():
+            acc = buckets.setdefault(e, {})
+            for mono, c in bucket.items():
+                acc[mono] = acc.get(mono, 0) + c
+    return KLExpansion(poly=DiffPolynomial._wrap(buckets), provenance="direct")
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +137,7 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
         raise ValueError(f"monomial {pi} does not sit at (j={j}, alpha={alpha})")
     total = 0
     for k, w in _alternating_weights(n, j, alpha):
-        total += w * _p_sums(j, alpha, k)._terms.get((pi, 0), 0)
+        total += w * _p_sums(j, alpha, k)._buckets[0].get(pi, 0)
     return total
 
 
@@ -151,13 +151,13 @@ def kl_closed_form(n: int) -> KLExpansion:
     coefficient: assembly runs over those."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    terms = {}
+    buckets = {}
     for j in range(1, n + 1):
         for alpha in range(n - j + 1):
-            for pi, _ in _p_sums(j, alpha, 1)._terms:
-                if c := coefficient_closed_form(n, j, alpha, pi):
-                    terms[pi, n - j - alpha] = c
-    return KLExpansion(poly=DiffPolynomial._wrap(terms), provenance="closed_form")
+            bucket = buckets.setdefault(n - j - alpha, {})
+            for pi in _p_sums(j, alpha, 1)._buckets[0]:
+                bucket[pi] = coefficient_closed_form(n, j, alpha, pi)
+    return KLExpansion(poly=DiffPolynomial._wrap(buckets), provenance="closed_form")
 
 
 def c_star(n: int, j: int) -> int:
@@ -171,7 +171,7 @@ def c_star(n: int, j: int) -> int:
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
     return sum(
-        w * sum(c for _, c in _p_sums(j, alpha, k).items())
+        w * sum(_p_sums(j, alpha, k)._buckets[0].values())
         for alpha in range(n - j + 1)
         for k, w in _alternating_weights(n, j, alpha)
     )

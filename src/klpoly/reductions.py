@@ -38,9 +38,10 @@ def reduce_order(p: DiffPolynomial, m: int) -> DiffPolynomial:
     for (mono, e), c in p.items():
         low = [t % m for t in mono]
         low.sort()
-        key = (tuple(low), e + sum(mono) - sum(low))
-        out[key] = out.get(key, 0) + c
-    return DiffPolynomial._wrap({key: c for key, c in out.items() if c})
+        bucket = out.setdefault(e + sum(mono) - sum(low), {})
+        key = tuple(low)
+        bucket[key] = bucket.get(key, 0) + c
+    return DiffPolynomial._wrap(out)
 
 
 # the paper's identities (i) and (ii), by the names perfbench traces

@@ -9,8 +9,6 @@ precision survives any JSON reader.
 
 from __future__ import annotations
 
-import json
-
 from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial
 
 
@@ -25,7 +23,13 @@ def poly_to_obj(p: DiffPolynomial) -> list[dict]:
 
 
 def poly_to_json(p: DiffPolynomial) -> str:
-    return json.dumps(poly_to_obj(p), separators=(",", ":"))
+    """The compact JSON text of poly_to_obj(p), written term by term
+    without building the object tree."""
+    return "[%s]" % ",".join(
+        '{"orders":[%s],"lambda_coeffs":[%s]}'
+        % (",".join(map(str, mono)), ",".join(f'[{e},"{c}"]' for e, c in coeff.items()))
+        for mono, coeff in p.terms()
+    )
 
 
 def poly_from_obj(obj: list[dict]) -> DiffPolynomial:

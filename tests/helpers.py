@@ -4,7 +4,7 @@ suite."""
 import cmath
 from dataclasses import dataclass
 
-from klpoly import DiffPolynomial, density, enumerate_compositions
+from klpoly import DiffPolynomial, density, differential_word, enumerate_compositions
 from klpoly.diffalg import Monomial
 
 
@@ -43,6 +43,57 @@ def weight(j: int, alpha: int, k: int) -> int:
     if alpha < 0:
         return 0
     return sum(density(beta) for beta in enumerate_compositions(j, alpha, max(k, 1)))
+
+
+def product_rule_coefficient(beta: tuple[int, ...], pi: tuple[int, ...]) -> int:
+    """Multiplicity of the monomial pi (derivative orders, in any order) in
+    the differential word of beta."""
+    return differential_word(beta)[pi, 0]
+
+
+def product(p: DiffPolynomial, q: DiffPolynomial) -> DiffPolynomial:
+    """p·q, term by term: monomials multiply by joining their orders."""
+    out: dict = {}
+    for (m1, e1), c1 in p.items():
+        for (m2, e2), c2 in q.items():
+            key = (m1 + m2, e1 + e2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return DiffPolynomial(out)
+
+
+# Reference kernel: ∂ and (∂ − u + mλ) on flat maps {(monomial, λ-exponent):
+# coefficient} of sorted monomials, by the plain run-length rule, with no
+# λ-buckets and no product-rule table; the tests hold diffalg's kernel to it.
+
+
+def reference_differentiate(flat: dict) -> dict:
+    """∂ termwise; the last t of each run of equal orders t is bumped to
+    t + 1, with the run length as multiplicity.  Zeros are pruned."""
+    out: dict = {}
+    for (mono, e), c in flat.items():
+        end = len(mono)
+        i = 0
+        while i < end:
+            t = mono[i]
+            j = i + 1
+            while j < end and mono[j] == t:
+                j += 1
+            key = (mono[: j - 1] + (t + 1,) + mono[j:], e)
+            out[key] = out.get(key, 0) + (j - i) * c
+            i = j
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_apply_factor(flat: dict, m: int) -> dict:
+    """(∂ − u + mλ) termwise.  Zeros are pruned."""
+    out = reference_differentiate(flat)
+    for (mono, e), c in flat.items():
+        key = ((0,) + mono, e)
+        out[key] = out.get(key, 0) - c
+        if m:
+            key = (mono, e + 1)
+            out[key] = out.get(key, 0) + m * c
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ from klpoly import (
     factorial_sum_check,
     g_poly,
     generalized_binomial,
-    product_rule_coefficient,
     sum_of_products,
     sum_of_products_enumerated,
     weight_A_coefficients,
     weight_closed_form,
 )
 from klpoly.reductions import reduce_first_order
-from helpers import dp, weight
+from helpers import dp, product_rule_coefficient, weight
 
 TABLE_432 = {
     (0, 0, 0, 3): 64,

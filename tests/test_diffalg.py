@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klpoly import DiffPolynomial, LambdaPolynomial
+from klpoly.diffalg import _derivative
 from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_text
-from helpers import dp
+from helpers import dp, reference_apply_factor, reference_differentiate
+from helpers import monomials as monomials_at
 
 
 def min_degree(p):
@@ -176,3 +178,55 @@ def test_apply_factor_never_decreases_min_degree(p, m):
     after = min_degree(p.apply_factor(m))
     if before is not None and after is not None:
         assert after >= before
+
+
+def test_derivative_table_matches_the_run_length_rule():
+    # every monomial with degree + order ≤ 12
+    for j in range(13):
+        for alpha in range(13 - j):
+            for mono in monomials_at(j, alpha):
+                table = _derivative(mono)
+                assert isinstance(table, tuple)
+                assert all(type(pair) is tuple and type(pair[0]) is tuple for pair in table)
+                expected = {d: c for (d, _), c in reference_differentiate({(mono, 0): 1}).items()}
+                assert len(table) == len(expected) and dict(table) == expected, mono
+
+
+# The kernel against the flat-map reference of tests/helpers.py.
+
+
+@given(diff_polys)
+@settings(max_examples=200)
+def test_differentiate_matches_the_reference(p):
+    assert dict(p.differentiate().items()) == reference_differentiate(dict(p.items()))
+
+
+@given(diff_polys, st.integers(min_value=0, max_value=4))
+@settings(max_examples=200)
+def test_apply_factor_matches_the_reference(p, m):
+    assert dict(p.apply_factor(m).items()) == reference_apply_factor(dict(p.items()), m)
+
+
+@given(diff_polys)
+@settings(max_examples=100)
+def test_multiply_by_u_matches_the_reference(p):
+    expected = {((0,) + mono, e): c for (mono, e), c in p.items()}
+    assert dict(p.multiply_by_u().items()) == expected
+
+
+@given(diff_polys, st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=2))
+@settings(max_examples=100)
+def test_scale_matches_the_reference(p, c, lam):
+    expected = {(mono, e + lam): coeff * c for (mono, e), coeff in p.items() if c}
+    assert dict(p.scale(c, lam).items()) == expected
+
+
+@given(diff_polys, diff_polys)
+@settings(max_examples=100)
+def test_add_matches_the_reference(p, q):
+    for other in (q, p.scale(-1) + q):
+        expected = dict(p.items())
+        for key, c in other.items():
+            expected[key] = expected.get(key, 0) + c
+        expected = {key: c for key, c in expected.items() if c}
+        assert dict((p + other).items()) == expected

@@ -27,8 +27,8 @@ from klpoly import (
 )
 from klpoly import expansion
 from klpoly.expansion import _p_sums
-from klpoly.serialize import poly_to_json
-from helpers import dp, monomials
+from klpoly.serialize import poly_to_json, poly_to_obj
+from helpers import dp, monomials, product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -356,9 +356,39 @@ def test_direct_route_matches_golden_digests():
     # kernel was shared by both routes, so a kernel bug common to the direct
     # and the closed-form route would still change these bytes, and
     # 16 ≤ n ≤ 20 from the factor-by-factor route before kth_term expanded
-    # the factor product.
+    # the factor product, and 21 ≤ n ≤ 24, the top of `expand`'s range,
+    # from the flat-map kernel before it was split into λ-buckets.
     golden = json.loads((GOLDEN / "direct_sha256.json").read_text())
-    assert sorted(map(int, golden)) == list(range(1, 21))
+    assert sorted(map(int, golden)) == list(range(1, 25))
     for n, digest in golden.items():
         text = poly_to_json(kl_direct(int(n)).poly)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, f"n={n}"
+
+
+def test_whole_polynomial_from_its_linear_parts():
+    # f_n = Σ_{j=2..n} C(n−1, j−1)·ℓ_j·f_{n−j} with f_0 = 1 and ℓ_j the
+    # linear part: Σ f_n tⁿ/n! = exp(Σ ℓ_j t^j/j!), so f_n is the complete
+    # Bell polynomial of the linear parts
+    f = [DiffPolynomial.u_power(0)]
+    for n in range(1, 17):
+        total = DiffPolynomial()
+        for j in range(2, n + 1):
+            total = total + product(linear_factorization(j), f[n - j]).scale(comb(n - 1, j - 1))
+        assert total == kl_direct(n).poly, n
+        f.append(total)
+
+
+def _compact(p):
+    return json.dumps(poly_to_obj(p), separators=(",", ":"))
+
+
+def test_json_writer_matches_the_object_tree():
+    for n in range(1, 25):
+        assert poly_to_json(kl_direct(n).poly) == _compact(kl_direct(n).poly), n
+    for n in range(1, 13):
+        assert poly_to_json(kl_closed_form(n).poly) == _compact(kl_closed_form(n).poly), n
+    zero = DiffPolynomial()
+    assert poly_to_json(zero) == _compact(zero) == "[]"
+    mixed = dp({(): {0: 3, 2: -7}, (0, 1): {1: -12345678901234567890}, (2,): {0: -1, 4: 1}})
+    assert poly_to_json(mixed) == _compact(mixed)
+    assert poly_to_json(mixed).startswith('[{"orders":[],"lambda_coeffs":[[0,"3"],[2,"-7"]]}')
