@@ -103,12 +103,16 @@ def _require_n(n: int, accepted: range) -> None:
 def cmd_expand(args) -> int:
     _require_n(args.n, range(1, EXPAND_MAX_N + 1))
     expansion = kl_closed_form(args.n) if args.closed_form else kl_direct(args.n)
+    # render only the format asked for
+    if args.format == "text":
+        print(poly_to_text(expansion.poly))
+        return 0
     payload = {
         "n": args.n,
         "provenance": expansion.provenance,
         "terms": poly_to_obj(expansion.poly),
     }
-    _emit(payload, args, [poly_to_text(expansion.poly)])
+    _emit(payload, args, [])
     return 0
 
 

@@ -3,11 +3,13 @@
 The central object is a finite sum of terms c·λ^e·u^(a1) u^(a2) ... u^(aj)
 with arbitrary-precision integers c.  A monomial u^(a1)···u^(aj) is the
 plain tuple of its derivative orders, sorted ascending: its length is the
-degree, its sum the order, and () is the constant 1.  A polynomial is a
-map λ-exponent -> {monomial: integer}, one bucket per power of λ, with no
-zero value and no empty bucket stored, so equal polynomials have equal
-maps.  ``LambdaPolynomial`` is a read-only view of the λ-coefficient of one
-monomial.
+degree, its sum the order, and () is the constant 1.  Every polynomial
+here is weight-homogeneous: degree + order + e is one weight w for all its
+terms, so λ carries no information of its own.  A polynomial is therefore
+one map monomial -> integer, with no zero value stored, and its weight;
+each term's λ-exponent is w minus the monomial's degree and order, and
+equal polynomials have equal maps and weights.  ``LambdaPolynomial`` is a
+read-only view of the λ-coefficient of one monomial.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class LambdaPolynomial:
     """Read-only view of the λ-coefficient of one monomial: a polynomial in
     λ over the integers, stored as a sparse exponent map with zeros pruned.
     Only ``DiffPolynomial.terms()`` hands these out; all algebra runs on the
-    λ-buckets of ``DiffPolynomial``.
+    monomial map of ``DiffPolynomial``.
     """
 
     __slots__ = ("_coeffs",)
@@ -76,142 +78,126 @@ def _derivative(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple(out)
 
 
-Buckets = dict[int, dict[Monomial, int]]
-
-
-def _pruned(buckets: Buckets) -> Buckets:
-    """The buckets without zero coefficients, the empty ones left out."""
-    out = {}
-    for e, bucket in buckets.items():
-        if not all(bucket.values()):
-            bucket = {mono: c for mono, c in bucket.items() if c}
-        if bucket:
-            out[e] = bucket
-    return out
-
-
 class DiffPolynomial:
-    """Finite sum of terms c·λ^e·π, stored as {e: {π: c}} with c != 0 and
-    no empty bucket.
+    """Finite sum of terms c·λ^e·π of one weight w = deg π + ord π + e,
+    stored as {π: c} with c != 0 and the weight beside it: each term's
+    λ-exponent is w − len(π) − sum(π).  The zero polynomial has weight 0.
 
     Equality is structural.  Instances are immutable by convention.
     """
 
-    __slots__ = ("_buckets",)
+    __slots__ = ("_terms", "weight")
 
     def __init__(self, terms: Mapping[tuple[Iterable[int], int], int] = ()):
         """Build from the flat map {(orders, λ-exponent): coefficient}; the
         orders need not be sorted, and keys naming the same term add up.
-        Raises ValueError on a negative order or λ-exponent."""
-        buckets: Buckets = {}
+        Raises ValueError on a negative order or λ-exponent, or when the
+        non-zero terms have more than one weight."""
+        # (π, e) -> (weight, π) is one to one, so each weight gets its own map
+        by_weight: dict[int, dict[Monomial, int]] = {}
         for (orders, e), c in dict(terms).items():
             if e < 0:
                 raise ValueError(f"negative λ exponent: {e}")
-            bucket = buckets.setdefault(e, {})
             mono = canonical_monomial(orders)
-            bucket[mono] = bucket.get(mono, 0) + c
-        self._buckets = _pruned(buckets)
+            acc = by_weight.setdefault(len(mono) + sum(mono) + e, {})
+            acc[mono] = acc.get(mono, 0) + c
+        weights = [w for w, acc in by_weight.items() if any(acc.values())]
+        if len(weights) > 1:
+            raise ValueError(f"terms of mixed weights {sorted(weights)}")
+        self.weight = weights[0] if weights else 0
+        self._terms = {mono: c for mono, c in by_weight.get(self.weight, {}).items() if c}
 
     @classmethod
-    def _wrap(cls, buckets: Buckets) -> "DiffPolynomial":
-        """Adopt a bucket map of sorted monomials, dropping its zero
-        coefficients and empty buckets."""
+    def _wrap(cls, terms: dict[Monomial, int], weight: int) -> "DiffPolynomial":
+        """Adopt a map of sorted monomials, all of this weight, dropping its
+        zero coefficients."""
         p = cls.__new__(cls)
-        p._buckets = _pruned(buckets)
+        if not all(terms.values()):
+            terms = {mono: c for mono, c in terms.items() if c}
+        p._terms = terms
+        p.weight = weight if terms else 0
         return p
 
     @classmethod
     def u_power(cls, k: int) -> "DiffPolynomial":
         """The monomial u^k (k = 0 gives the constant 1)."""
-        return cls._wrap({0: {(0,) * k: 1}})
+        return cls._wrap({(0,) * k: 1}, k)
 
     def items(self):
         """((monomial, λ-exponent), coefficient) pairs, in no particular
         order, as a generator to be read once."""
-        return (
-            ((mono, e), c) for e, bucket in self._buckets.items() for mono, c in bucket.items()
-        )
+        w = self.weight
+        return (((mono, w - len(mono) - sum(mono)), c) for mono, c in self._terms.items())
 
     def __getitem__(self, key: tuple[Iterable[int], int]) -> int:
         """The integer coefficient of λ^e·π for key (π, e), 0 when the term
         is absent.  The orders of π may come in any order; a negative one
         raises ValueError."""
         orders, e = key
-        return self._buckets.get(e, {}).get(canonical_monomial(orders), 0)
+        mono = canonical_monomial(orders)
+        return self._terms.get(mono, 0) if len(mono) + sum(mono) + e == self.weight else 0
 
     def terms(self) -> list[tuple[Monomial, LambdaPolynomial]]:
         """(monomial, λ-coefficient) pairs sorted by (degree, order, orders)."""
-        grouped: dict[Monomial, dict[int, int]] = {}
-        for e, bucket in self._buckets.items():
-            for mono, c in bucket.items():
-                grouped.setdefault(mono, {})[e] = c
+        w = self.weight
         return [
-            (mono, LambdaPolynomial(grouped[mono]))
-            for mono in sorted(grouped, key=lambda m: (len(m), sum(m), m))
+            (mono, LambdaPolynomial({w - len(mono) - sum(mono): self._terms[mono]}))
+            for mono in sorted(self._terms, key=lambda m: (len(m), sum(m), m))
         ]
 
     def __bool__(self) -> bool:
-        return bool(self._buckets)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffPolynomial):
             return NotImplemented
-        return self._buckets == other._buckets
+        return self.weight == other.weight and self._terms == other._terms
 
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        out = {e: dict(bucket) for e, bucket in self._buckets.items()}
-        for e, bucket in other._buckets.items():
-            acc = out.setdefault(e, {})
-            for mono, c in bucket.items():
-                acc[mono] = acc.get(mono, 0) + c
-        return self._wrap(out)
+        """The sum; raises ValueError when both are non-zero and their
+        weights differ."""
+        if not other:
+            return self
+        if not self:
+            return other
+        if self.weight != other.weight:
+            raise ValueError(f"sum of weights {self.weight} and {other.weight}")
+        out = dict(self._terms)
+        for mono, c in other._terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return self._wrap(out, self.weight)
 
     def scale(self, c: int, lam: int = 0) -> "DiffPolynomial":
         """Multiply by c·λ^lam."""
         if lam < 0:
             raise ValueError(f"negative λ exponent: {lam}")
         return self._wrap(
-            {
-                e + lam: {mono: coeff * c for mono, coeff in bucket.items()}
-                for e, bucket in self._buckets.items()
-            }
+            {mono: coeff * c for mono, coeff in self._terms.items()}, self.weight + lam
         )
 
     def differentiate(self) -> "DiffPolynomial":
-        """∂ applied termwise via the product rule; λ is a constant, so each
-        bucket is differentiated on its own."""
-        out: Buckets = {}
-        for e, bucket in self._buckets.items():
-            out[e] = acc = {}
-            for mono, c in bucket.items():
-                for d, mult in _derivative(mono):
-                    acc[d] = acc.get(d, 0) + mult * c
-        return self._wrap(out)
+        """∂ applied termwise via the product rule; λ is a constant."""
+        out: dict[Monomial, int] = {}
+        for mono, c in self._terms.items():
+            for d, mult in _derivative(mono):
+                out[d] = out.get(d, 0) + mult * c
+        return self._wrap(out, self.weight + 1)
 
     def multiply_by_u(self) -> "DiffPolynomial":
-        return self._wrap(
-            {
-                e: {(0,) + mono: c for mono, c in bucket.items()}
-                for e, bucket in self._buckets.items()
-            }
-        )
+        return self._wrap({(0,) + mono: c for mono, c in self._terms.items()}, self.weight + 1)
 
     def apply_factor(self, m: int) -> "DiffPolynomial":
-        """Apply the operator factor (∂ − u + mλ): the mλ term is the whole
-        bucket e scaled by m and moved to e + 1."""
+        """Apply the operator factor (∂ − u + mλ): the mλ term keeps each
+        monomial, scaled by m, one λ-power up."""
         if m < 0:
             raise ValueError("factor shift m must be non-negative")
-        out = self.differentiate()._buckets
-        for e, bucket in self._buckets.items():
-            acc = out.setdefault(e, {})
-            for mono, c in bucket.items():
-                key = (0,) + mono
-                acc[key] = acc.get(key, 0) - c
+        out = self.differentiate()._terms
+        for mono, c in self._terms.items():
+            key = (0,) + mono
+            out[key] = out.get(key, 0) - c
             if m:
-                acc = out.setdefault(e + 1, {})
-                for mono, c in bucket.items():
-                    acc[mono] = acc.get(mono, 0) + m * c
-        return self._wrap(out)
+                out[mono] = out.get(mono, 0) + m * c
+        return self._wrap(out, self.weight + 1)
 
     def __repr__(self) -> str:
         return f"DiffPolynomial({dict(sorted(self.items()))})"

@@ -53,8 +53,9 @@ def kth_term(n: int, k: int) -> DiffPolynomial:
     With E = ∂ − u and L = n − k the factors E + mλ (m < L) differ by
     scalars, so they commute and their product is the rising factorial
     Σ_{a=1..L} [L, a] λ^(L−a) E^a.  E^a u^k is λ-free of degree plus order
-    k + a, so the powers land on disjoint monomials: each is computed once
-    from the last and written at λ-exponent L − a with weight C(n,k)·[L, a].
+    k + a, so the powers land on disjoint monomials of one map of weight n:
+    each is computed once from the last and written with the factor
+    C(n,k)·[L, a].
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
@@ -62,12 +63,12 @@ def kth_term(n: int, k: int) -> DiffPolynomial:
     row = _rising_factorial_row(length)
     binom = comb(n, k)
     word = DiffPolynomial.u_power(k)
-    buckets = {}
+    out = {}
     for a in range(1, length + 1):
         word = word.apply_factor(0)
-        weight = binom * row[a]
-        buckets[length - a] = {mono: weight * c for mono, c in word._buckets[0].items()}
-    return DiffPolynomial._wrap(buckets)
+        factor = binom * row[a]
+        out.update((mono, factor * c) for mono, c in word._terms.items())
+    return DiffPolynomial._wrap(out, n)
 
 
 @lru_cache(maxsize=None)
@@ -75,20 +76,19 @@ def kl_direct(n: int) -> KLExpansion:
     """Build f_{n,λ}(u) by direct operator application."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    buckets = {0: {(0,) * n: 1}}
+    out = {(0,) * n: 1}
     for k in range(n):
-        for e, bucket in kth_term(n, k)._buckets.items():
-            acc = buckets.setdefault(e, {})
-            for mono, c in bucket.items():
-                acc[mono] = acc.get(mono, 0) + c
-    return KLExpansion(poly=DiffPolynomial._wrap(buckets), provenance="direct")
+        for mono, c in kth_term(n, k)._terms.items():
+            out[mono] = out.get(mono, 0) + c
+    return KLExpansion(poly=DiffPolynomial._wrap(out, n), provenance="direct")
 
 
 @lru_cache(maxsize=None)
 def _p_sums(j: int, alpha: int, k: int) -> DiffPolynomial:
     """S_k(j, α), the sum of the differential words of all compositions in
     Z(j, α, k): its coefficient at π is the sum of the product rule
-    coefficients P over that family.  Words are λ-free.
+    coefficients P over that family.  Words are λ-free, so it has weight
+    j + α.
 
     A composition ending in 0 contributes u times a word of Z(j−1, α, k);
     one ending in b > 0 contributes ∂ of the word with that entry lowered
@@ -137,7 +137,7 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
         raise ValueError(f"monomial {pi} does not sit at (j={j}, alpha={alpha})")
     total = 0
     for k, w in _alternating_weights(n, j, alpha):
-        total += w * _p_sums(j, alpha, k)._buckets[0].get(pi, 0)
+        total += w * _p_sums(j, alpha, k)._terms.get(pi, 0)
     return total
 
 
@@ -148,16 +148,15 @@ def kl_closed_form(n: int) -> KLExpansion:
     The coefficient at (j, α, π) is a weighted sum of the P-sums S_k(j, α)
     at π.  Every Z(j, α, k) lies inside Z(j, α, 1) and word coefficients are
     positive, so only a monomial of S_1(j, α) can have a non-zero
-    coefficient: assembly runs over those."""
+    coefficient: assembly runs over those, into one map of weight n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    buckets = {}
+    out = {}
     for j in range(1, n + 1):
         for alpha in range(n - j + 1):
-            bucket = buckets.setdefault(n - j - alpha, {})
-            for pi in _p_sums(j, alpha, 1)._buckets[0]:
-                bucket[pi] = coefficient_closed_form(n, j, alpha, pi)
-    return KLExpansion(poly=DiffPolynomial._wrap(buckets), provenance="closed_form")
+            for pi in _p_sums(j, alpha, 1)._terms:
+                out[pi] = coefficient_closed_form(n, j, alpha, pi)
+    return KLExpansion(poly=DiffPolynomial._wrap(out, n), provenance="closed_form")
 
 
 def c_star(n: int, j: int) -> int:
@@ -171,7 +170,7 @@ def c_star(n: int, j: int) -> int:
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
     return sum(
-        w * sum(_p_sums(j, alpha, k)._buckets[0].values())
+        w * sum(_p_sums(j, alpha, k)._terms.values())
         for alpha in range(n - j + 1)
         for k, w in _alternating_weights(n, j, alpha)
     )

@@ -34,14 +34,12 @@ def reduce_order(p: DiffPolynomial, m: int) -> DiffPolynomial:
     u^(m) = λ^m u.  Raises ValueError for m < 1."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
+    # each factor's λ-power keeps the weight, so this only relabels monomials
     out: dict = {}
-    for (mono, e), c in p.items():
-        low = [t % m for t in mono]
-        low.sort()
-        bucket = out.setdefault(e + sum(mono) - sum(low), {})
-        key = tuple(low)
-        bucket[key] = bucket.get(key, 0) + c
-    return DiffPolynomial._wrap(out)
+    for mono, c in p._terms.items():
+        key = tuple(sorted(t % m for t in mono))
+        out[key] = out.get(key, 0) + c
+    return DiffPolynomial._wrap(out, p.weight)
 
 
 # the paper's identities (i) and (ii), by the names perfbench traces

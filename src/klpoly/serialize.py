@@ -86,8 +86,8 @@ def lambda_coeff_text(coeff: LambdaPolynomial) -> str:
 def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
     """Render one term; returns (sign, body) with sign in {+1, -1}.
 
-    The coefficient must be a single λ-power, as every coefficient of a
-    weight-homogeneous polynomial such as f_{n,λ}(u) is.
+    Every polynomial is weight-homogeneous, so each coefficient is a
+    single λ-power.
     """
     (exp, c), = coeff.items()
     sign = 1 if c > 0 else -1

@@ -62,8 +62,9 @@ def product(p: DiffPolynomial, q: DiffPolynomial) -> DiffPolynomial:
 
 
 # Reference kernel: ∂ and (∂ − u + mλ) on flat maps {(monomial, λ-exponent):
-# coefficient} of sorted monomials, by the plain run-length rule, with no
-# λ-buckets and no product-rule table; the tests hold diffalg's kernel to it.
+# coefficient} of sorted monomials, by the plain run-length rule, with explicit
+# λ-exponents, no weight and no product-rule table; the tests hold diffalg's
+# kernel to it.
 
 
 def reference_differentiate(flat: dict) -> dict:

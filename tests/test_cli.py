@@ -27,11 +27,11 @@ def run(capsys, argv):
     return code, out
 
 
-def test_expand_3_text_golden(capsys):
-    code, out = run(capsys, ["expand", "3"])
+@pytest.mark.parametrize("n", [3, 12])
+def test_expand_text_golden(capsys, n):
+    code, out = run(capsys, ["expand", str(n)])
     assert code == 0
-    assert out == (GOLDEN / "expand_3.txt").read_text()
-    assert out.strip() == "2·u'' − 2·λ^2·u"
+    assert out == (GOLDEN / f"expand_{n}.txt").read_text()
 
 
 def test_expand_3_json_golden(capsys):
@@ -51,6 +51,7 @@ def test_expand_closed_form_agrees(capsys):
 def test_expand_small_values(capsys):
     assert run(capsys, ["expand", "1"])[1].strip() == "0"
     assert run(capsys, ["expand", "2"])[1].strip() == "u' − λ·u"
+    assert run(capsys, ["expand", "3"])[1].strip() == "2·u'' − 2·λ^2·u"
 
 
 def test_expand_out_of_range(capsys):
@@ -344,13 +345,14 @@ def test_numeric_crosscheck_fails_on_a_changed_side(capsys, monkeypatch, name, v
     assert check_status(capsys, argv, "numeric-crosscheck n=3 m=3") == (1, "fail")
 
 
-def check_lambda_zero_collapse_fails(capsys, monkeypatch, order):
-    # 1 more λ^0·u^(order(n)) in every kl_direct(n), which the λ = 0 slice reads
+def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch):
+    # 1 more λ^0·u^(n−1) in every kl_direct(n), which the λ = 0 slice reads:
+    # the coefficient of u^(n−1) moves from n − 1 to n
     original = expansion.kl_direct
 
     def perturbed(n):
         built = original(n)
-        return built._replace(poly=built.poly + DiffPolynomial({((order(n),), 0): 1}))
+        return built._replace(poly=built.poly + DiffPolynomial({((n - 1,), 0): 1}))
 
     argv = ["verify", "linear", "--n-max", "3"]
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (0, "pass")
@@ -359,14 +361,12 @@ def check_lambda_zero_collapse_fails(capsys, monkeypatch, order):
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (1, "fail")
 
 
-def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch):
-    # the coefficient of u^(n−1) moves from n − 1 to n
-    check_lambda_zero_collapse_fails(capsys, monkeypatch, lambda n: n - 1)
-
-
-def test_lambda_zero_collapse_fails_on_a_second_term(capsys, monkeypatch):
-    # (n − 1)·u^(n−1) keeps its value but is no longer the only term
-    check_lambda_zero_collapse_fails(capsys, monkeypatch, lambda n: n - 2)
+def test_lambda_zero_collapse_fails_on_a_second_term():
+    # λ^0·u^(n−2) has weight n − 1, so the λ^0 degree-1 slice of the weight-n
+    # f_n holds u^(n−1) alone: a second term there cannot be built
+    for n in range(2, 8):
+        with pytest.raises(ValueError):
+            expansion.kl_direct(n).poly + DiffPolynomial({((n - 2,), 0): 1})
 
 
 # (suite, check, cli function it reads, arguments of the changed call, change)
@@ -374,10 +374,10 @@ CHANGED_VALUES = [
     ("weights", "composition-count stars-and-bars", "enumerate_compositions",
      (2, 1, 1), lambda rows: rows[1:]),
     ("weights", "density-vs-word j,alpha<=5", "density", ((0, 1),), lambda d: d + 1),
-    # the word 2·u·u' of (0, 1) with one of its u·u' moved to λ: the same
-    # coefficient sum, but no longer λ-free
+    # the word 2·u·u' of (0, 1) with one of its u·u' turned into λ·u', of the
+    # same weight: the same coefficient sum, but no longer λ-free
     ("weights", "density-vs-word j,alpha<=5", "differential_word", ((0, 1),),
-     lambda w: w + DiffPolynomial({((0, 1), 1): 1, ((0, 1), 0): -1})),
+     lambda w: w + DiffPolynomial({((1,), 1): 1, ((0, 1), 0): -1})),
     ("weights", "generating-function n<=20", "g_poly", (3,), lambda g: [g[0] + 1, *g[1:]]),
     ("weights", "product-sum recurrence-vs-enumeration n<=12",
      "sum_of_products_enumerated", (3, 1), lambda s: s + 1),

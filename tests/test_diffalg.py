@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from klpoly import DiffPolynomial, LambdaPolynomial
 from klpoly.diffalg import _derivative
-from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_text
+from klpoly.serialize import lambda_coeff_text, poly_from_obj
 from helpers import dp, reference_apply_factor, reference_differentiate
 from helpers import monomials as monomials_at
 
@@ -26,7 +26,7 @@ def test_monomial_canonical_form():
     # orders naming the same monomial add up
     assert dp({(0, 2, 2): {1: 1}, (2, 0, 2): {1: 1}}) == dp({(0, 2, 2): {1: 2}})
     assert DiffPolynomial.u_power(0).terms() == [((), LambdaPolynomial({0: 1}))]
-    assert min_degree(dp({(0, 2, 2): {0: 1}, (5,): {0: 1}})) == 1
+    assert min_degree(dp({(0, 2, 2): {0: 1}, (5,): {1: 1}})) == 1
 
 
 def test_monomial_rejects_negative_orders():
@@ -62,15 +62,13 @@ def test_lambda_coefficients_through_the_flat_map():
     # λ-arithmetic is scaling by c·λ^e on the flat map; terms() views the result
     lam = DiffPolynomial.u_power(0).scale(1, lam=1)
     assert lam.scale(1, lam=1) == DiffPolynomial({((), 2): 1})
-    p = lam.scale(3) + DiffPolynomial({((), 0): 2})
-    assert p.terms() == [((), LambdaPolynomial({0: 2, 1: 3}))]
-    assert p.terms()[0][1].items() == [(0, 2), (1, 3)]
+    assert lam.scale(3).terms() == [((), LambdaPolynomial({1: 3}))]
     assert DiffPolynomial({((), 0): 5}).terms()[0][1].items() == [(0, 5)]
     # λ itself is no constant: its one term sits at exponent 1
     assert lam.terms()[0][1].items() == [(1, 1)]
-    # text renders single λ-powers only; a mixed coefficient fails loudly
+    # a coefficient of two λ-powers mixes weights, so it cannot be built
     with pytest.raises(ValueError):
-        poly_to_text(p)
+        lam.scale(3) + DiffPolynomial({((), 0): 2})
 
 
 def test_lambda_coeff_text():
@@ -78,6 +76,36 @@ def test_lambda_coeff_text():
     assert lambda_coeff_text(LambdaPolynomial()) == "0"
     mixed = LambdaPolynomial({3: 7, 0: -2, 1: 1})
     assert lambda_coeff_text(mixed) == "-2 + 1·λ + 7·λ^3"
+
+
+def test_mixed_weights_cannot_be_built():
+    # u (weight 1) beside λ·u (weight 2)
+    with pytest.raises(ValueError):
+        DiffPolynomial({((0,), 0): 1, ((0,), 1): 1})
+    with pytest.raises(ValueError):
+        DiffPolynomial.u_power(1) + DiffPolynomial.u_power(1).scale(1, lam=1)
+    with pytest.raises(ValueError):
+        poly_from_obj(
+            [
+                {"orders": [0], "lambda_coeffs": [[0, "1"]]},
+                {"orders": [1], "lambda_coeffs": [[1, "1"]]},
+            ]
+        )
+    # the check reads the terms left after pruning
+    p = DiffPolynomial({((0,), 0): 1, ((0,), 1): 0, ((1, 0), 0): 2, ((0, 1), 0): -2})
+    assert p == DiffPolynomial.u_power(1) and p.weight == 1
+
+
+def test_zero_has_weight_zero():
+    zero = DiffPolynomial()
+    assert zero == DiffPolynomial.u_power(3).scale(0)
+    assert zero == DiffPolynomial.u_power(2).scale(0, lam=3)
+    assert zero.weight == DiffPolynomial.u_power(3).scale(0).weight == 0
+    p = dp({(1,): {0: 3}, (0,): {1: 1}})
+    assert zero + p == p + zero == p
+    assert (p + p.scale(-1)).weight == 0
+    # the same monomial map at two weights: two different polynomials
+    assert DiffPolynomial.u_power(1) != DiffPolynomial.u_power(1).scale(1, lam=1)
 
 
 def test_differentiate_power_rule():
@@ -139,16 +167,24 @@ def test_canonicality_no_zero_terms():
     assert diff.terms() == []
 
 
-monomials = st.lists(
-    st.integers(min_value=0, max_value=4), min_size=0, max_size=3
-).map(tuple)
+def _within(orders: list[int], w: int) -> tuple[int, ...]:
+    """The longest prefix of orders whose degree plus order is at most w."""
+    while len(orders) + sum(orders) > w:
+        orders = orders[:-1]
+    return tuple(orders)
 
-# flat maps {(orders, λ-exponent): coefficient}, zero coefficients included
-diff_polys = st.dictionaries(
-    st.tuples(monomials, st.integers(min_value=0, max_value=2)),
-    st.integers(min_value=-5, max_value=5),
-    max_size=8,
-).map(DiffPolynomial)
+
+def polys_of_weight(w: int):
+    """Polynomials of weight w, built from flat maps {(orders, λ-exponent):
+    coefficient} with e = w − degree − order, zero coefficients included."""
+    orders = st.lists(st.integers(min_value=0, max_value=4), max_size=3)
+    return st.dictionaries(
+        orders.map(lambda m: _within(m, w)), st.integers(min_value=-5, max_value=5), max_size=8
+    ).map(lambda terms: DiffPolynomial({(m, w - len(m) - sum(m)): c for m, c in terms.items()}))
+
+
+weights = st.integers(min_value=0, max_value=8)
+diff_polys = weights.flatmap(polys_of_weight)
 
 
 @given(diff_polys)
@@ -221,9 +257,10 @@ def test_scale_matches_the_reference(p, c, lam):
     assert dict(p.scale(c, lam).items()) == expected
 
 
-@given(diff_polys, diff_polys)
+@given(weights.flatmap(lambda w: st.tuples(polys_of_weight(w), polys_of_weight(w))))
 @settings(max_examples=100)
-def test_add_matches_the_reference(p, q):
+def test_add_matches_the_reference(pair):
+    p, q = pair
     for other in (q, p.scale(-1) + q):
         expected = dict(p.items())
         for key, c in other.items():

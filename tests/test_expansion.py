@@ -378,6 +378,24 @@ def test_whole_polynomial_from_its_linear_parts():
         f.append(total)
 
 
+def test_built_polynomials_carry_their_weight():
+    # degree + order + λ-exponent of every term, by theory; f_1 is zero,
+    # and zero has weight 0
+    assert not kl_direct(1).poly and kl_direct(1).poly.weight == 0
+    for n in range(2, 25):
+        assert kl_direct(n).poly.weight == n
+        assert all(kth_term(n, k).weight == n for k in range(n))
+        assert linear_factorization(n).weight == n
+    for n in range(2, 13):
+        assert kl_closed_form(n).poly.weight == n
+    for j in range(1, 7):
+        for alpha in range(7):
+            for k in range(1, j + 1):
+                assert _p_sums(j, alpha, k).weight == j + alpha
+            for beta in enumerate_compositions(j, alpha):
+                assert differential_word(beta).weight == j + alpha
+
+
 def _compact(p):
     return json.dumps(poly_to_obj(p), separators=(",", ":"))
 
@@ -389,6 +407,16 @@ def test_json_writer_matches_the_object_tree():
         assert poly_to_json(kl_closed_form(n).poly) == _compact(kl_closed_form(n).poly), n
     zero = DiffPolynomial()
     assert poly_to_json(zero) == _compact(zero) == "[]"
-    mixed = dp({(): {0: 3, 2: -7}, (0, 1): {1: -12345678901234567890}, (2,): {0: -1, 4: 1}})
-    assert poly_to_json(mixed) == _compact(mixed)
-    assert poly_to_json(mixed).startswith('[{"orders":[],"lambda_coeffs":[[0,"3"],[2,"-7"]]}')
+    # weight 4, every λ-power from 0 to 4, and a 20-digit negative coefficient
+    wide = dp(
+        {
+            (): {4: 3},
+            (0,): {3: -7},
+            (0, 0): {2: 1},
+            (0, 1): {1: -12345678901234567890},
+            (0, 0, 0, 0): {0: -1},
+        }
+    )
+    assert poly_to_json(wide) == _compact(wide)
+    assert poly_to_json(wide).startswith('[{"orders":[],"lambda_coeffs":[[4,"3"]]}')
+    assert '{"orders":[0,1],"lambda_coeffs":[[1,"-12345678901234567890"]]}' in poly_to_json(wide)

@@ -82,7 +82,10 @@ def test_question_iii_from_the_built_polynomial():
         poly = kl_direct(n).poly
         for m in range(1, 9):
             vanishes = m == 1 or (m == 2 and n % 2 == 1) or n == 1
-            assert (not reduce_order(poly, m)) == vanishes, (n, m)
+            reduced = reduce_order(poly, m)
+            assert (not reduced) == vanishes, (n, m)
+            # the λ-powers taken out of each factor keep the weight
+            assert vanishes or reduced.weight == n, (n, m)
 
 
 def test_linear_part_survives_every_higher_order_reduction():
