@@ -62,11 +62,10 @@ TABLE_432_ORDER = [
     (0, 3, 0, 0),
 ]
 
-# Accepted n of the one-n commands, cold on 2 vCPUs (median of five, Python
-# 3.11): `expand 24` takes 0.4 s direct and 0.5 s by the closed form;
-# `linear 24`, which builds the same kl_direct(24), 0.3 s; `cstar 28` 1.0 s.
-# `hpoly` stops where its largest coefficient (4113 digits at n = 1500, 1.5 s)
-# still converts to a decimal string under Python's default 4300-digit limit.
+# Accepted n of the one-n commands, each sized to a cold run under 5 s on 2
+# vCPUs (README lists the times).  `hpoly` stops where its largest
+# coefficient (4113 digits at n = 1500) still converts to a decimal string
+# under Python's default 4300-digit limit.
 EXPAND_MAX_N = 24
 LINEAR_N = range(2, EXPAND_MAX_N + 1)
 CSTAR_N = range(1, 29)
@@ -109,7 +108,7 @@ def cmd_expand(args) -> int:
         return 0
     payload = {
         "n": args.n,
-        "provenance": expansion.provenance,
+        "provenance": "closed_form" if args.closed_form else "direct",
         "terms": poly_to_obj(expansion.poly),
     }
     _emit(payload, args, [])
@@ -313,13 +312,11 @@ def suite_thm5(n_max: int, m_max: int) -> list[dict]:
 # Suite name -> (runner, default n_max, default m_max, accepted (n_max, m_max)
 # ranges, for the bounds the suite takes); `verify all` runs them in this
 # order.  A range starts at the least bound that leaves a grid point; its end
-# was sized to a cold run of about 5 s on 2 vCPUs.  At the ends a cold run now
-# takes (median of five, Python 3.11): identities 24 0.9 s, cstar 28 1.4 s,
-# weights 10 1.8 s, linear 24 0.9 s, thm5 20/20 0.4 s.  A runner looks
-# its suite up when called, so a wrapper installed on the module attribute (as
-# perfbench's tracer does) sees it.
+# was sized to a cold run of about 5 s on 2 vCPUs (README lists the times at
+# the ends).  A runner looks its suite up when called, so a wrapper installed
+# on the module attribute (as perfbench's tracer does) sees it.
 SUITES = {
-    "identities": (lambda n, m: suite_identities(n), 8, None, (range(1, 25),)),
+    "identities": (lambda n, m: suite_identities(n), 8, None, (range(1, EXPAND_MAX_N + 1),)),
     "cstar": (lambda n, m: suite_cstar(n), 8, None, (CSTAR_N,)),
     "weights": (lambda n, m: suite_weights(n), 6, None, (range(1, 11),)),
     "linear": (lambda n, m: suite_linear(n), 12, None, (LINEAR_N,)),

@@ -8,42 +8,34 @@ here is weight-homogeneous: degree + order + e is one weight w for all its
 terms, so λ carries no information of its own.  A polynomial is therefore
 one map monomial -> integer, with no zero value stored, and its weight;
 each term's λ-exponent is w minus the monomial's degree and order, and
-equal polynomials have equal maps and weights.  ``LambdaPolynomial`` is a
-read-only view of the λ-coefficient of one monomial.
+equal polynomials have equal maps and weights.  ``LambdaPolynomial`` is the
+λ-coefficient of one monomial: the (exponent, value) pair of its one
+power.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
 
 
 class LambdaPolynomial:
-    """Read-only view of the λ-coefficient of one monomial: a polynomial in
-    λ over the integers, stored as a sparse exponent map with zeros pruned.
-    Only ``DiffPolynomial.terms()`` hands these out; all algebra runs on the
+    """The λ-coefficient value·λ^exponent of one monomial.  Every polynomial
+    is weight-homogeneous, so this is a single power.  Only
+    ``DiffPolynomial.terms()`` hands these out; all algebra runs on the
     monomial map of ``DiffPolynomial``.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("exponent", "value")
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        coeffs = dict(coeffs)
-        for exp in coeffs:
-            if exp < 0:
-                raise ValueError(f"negative λ exponent: {exp}")
-        self._coeffs = {e: c for e, c in coeffs.items() if c}
-
-    def items(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs sorted by exponent."""
-        return sorted(self._coeffs.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LambdaPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+    def __init__(self, exponent: int, value: int):
+        if exponent < 0:
+            raise ValueError(f"negative λ exponent: {exponent}")
+        self.exponent = exponent
+        self.value = value
 
 
 def canonical_monomial(orders: Iterable[int]) -> Monomial:
@@ -66,15 +58,11 @@ def _derivative(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     differentiate the same monomials again and again.
     """
     out = []
-    end = len(mono)
-    i = 0
-    while i < end:
-        t = mono[i]
-        j = i + 1
-        while j < end and mono[j] == t:
-            j += 1
-        out.append((mono[: j - 1] + (t + 1,) + mono[j:], j - i))
-        i = j
+    end = 0
+    for t, run in groupby(mono):
+        count = len(list(run))
+        end += count
+        out.append((mono[: end - 1] + (t + 1,) + mono[end:], count))
     return tuple(out)
 
 
@@ -141,7 +129,7 @@ class DiffPolynomial:
         """(monomial, λ-coefficient) pairs sorted by (degree, order, orders)."""
         w = self.weight
         return [
-            (mono, LambdaPolynomial({w - len(mono) - sum(mono): self._terms[mono]}))
+            (mono, LambdaPolynomial(w - len(mono) - sum(mono), self._terms[mono]))
             for mono in sorted(self._terms, key=lambda m: (len(m), sum(m), m))
         ]
 

@@ -30,10 +30,9 @@ from .diffalg import DiffPolynomial, canonical_monomial
 
 
 class KLExpansion(NamedTuple):
-    """An expanded f_{n,λ}(u) together with how it was built."""
+    """An expanded f_{n,λ}(u)."""
 
     poly: DiffPolynomial
-    provenance: str  # "direct" or "closed_form"
 
 
 def _rising_factorial_row(length: int) -> list[int]:
@@ -80,7 +79,7 @@ def kl_direct(n: int) -> KLExpansion:
     for k in range(n):
         for mono, c in kth_term(n, k)._terms.items():
             out[mono] = out.get(mono, 0) + c
-    return KLExpansion(poly=DiffPolynomial._wrap(out, n), provenance="direct")
+    return KLExpansion(poly=DiffPolynomial._wrap(out, n))
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +140,6 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
     return total
 
 
-@lru_cache(maxsize=None)
 def kl_closed_form(n: int) -> KLExpansion:
     """Assemble f_{n,λ}(u) from the closed-form coefficients.
 
@@ -156,7 +154,7 @@ def kl_closed_form(n: int) -> KLExpansion:
         for alpha in range(n - j + 1):
             for pi in _p_sums(j, alpha, 1)._terms:
                 out[pi] = coefficient_closed_form(n, j, alpha, pi)
-    return KLExpansion(poly=DiffPolynomial._wrap(out, n), provenance="closed_form")
+    return KLExpansion(poly=DiffPolynomial._wrap(out, n))
 
 
 def c_star(n: int, j: int) -> int:

@@ -3,31 +3,39 @@
 The JSON shape is a compatibility surface: a list of terms, each
 {"orders": [...], "lambda_coeffs": [[exponent, "coefficient"], ...]},
 with terms sorted by (degree, order, orders) and λ-exponents ascending.
+Every polynomial is weight-homogeneous, so the writers emit one
+[exponent, "coefficient"] pair per term.
 Integer coefficients are emitted as decimal strings so arbitrary
 precision survives any JSON reader.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial
 
 
 def poly_to_obj(p: DiffPolynomial) -> list[dict]:
     return [
-        {
-            "orders": list(mono),
-            "lambda_coeffs": [[e, str(c)] for e, c in coeff.items()],
-        }
+        {"orders": list(mono), "lambda_coeffs": [[coeff.exponent, str(coeff.value)]]}
         for mono, coeff in p.terms()
     ]
 
 
 def poly_to_json(p: DiffPolynomial) -> str:
     """The compact JSON text of poly_to_obj(p), written term by term
-    without building the object tree."""
+    without building the object tree.
+
+    ``json.dumps(poly_to_obj(p), separators=(",", ":"))`` gives the same
+    bytes but holds every term's dict at once: on perfbench's expand-direct
+    pass (n = 14, 16, 18, Python 3.11) it raised the tracemalloc peak from
+    1711 to 2253 KiB and peak RSS from 21.7 to 22.2 MiB, five times the
+    0.1 MiB that workload's benchmark bound allows.
+    """
     return "[%s]" % ",".join(
-        '{"orders":[%s],"lambda_coeffs":[%s]}'
-        % (",".join(map(str, mono)), ",".join(f'[{e},"{c}"]' for e, c in coeff.items()))
+        '{"orders":[%s],"lambda_coeffs":[[%d,"%d"]]}'
+        % (",".join(map(str, mono)), coeff.exponent, coeff.value)
         for mono, coeff in p.terms()
     )
 
@@ -53,15 +61,10 @@ def _factor_text(t: int) -> str:
 
 
 def monomial_text(orders: Monomial) -> str:
-    if not orders:
-        return "1"
+    """A non-empty monomial, each run of equal orders as one power."""
     pieces = []
-    i = 0
-    while i < len(orders):
-        t = orders[i]
-        count = 1
-        while i + count < len(orders) and orders[i + count] == t:
-            count += 1
+    for t, run in groupby(orders):
+        count = len(list(run))
         base = _factor_text(t)
         if count == 1:
             pieces.append(base)
@@ -69,7 +72,6 @@ def monomial_text(orders: Monomial) -> str:
             pieces.append(f"u^{count}")
         else:
             pieces.append(f"({base})^{count}")
-        i += count
     return "·".join(pieces)
 
 
@@ -78,18 +80,15 @@ def _lambda_text(exp: int) -> str:
 
 
 def lambda_coeff_text(coeff: LambdaPolynomial) -> str:
-    """A λ-coefficient as its powers summed in ascending order, "0" when
-    it is empty."""
-    return " + ".join(f"{c}·{_lambda_text(e)}" if e else str(c) for e, c in coeff.items()) or "0"
+    """A λ-coefficient as value·λ^exponent, or the value alone at λ^0."""
+    if coeff.exponent:
+        return f"{coeff.value}·{_lambda_text(coeff.exponent)}"
+    return str(coeff.value)
 
 
 def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
-    """Render one term; returns (sign, body) with sign in {+1, -1}.
-
-    Every polynomial is weight-homogeneous, so each coefficient is a
-    single λ-power.
-    """
-    (exp, c), = coeff.items()
+    """Render one term; returns (sign, body) with sign in {+1, -1}."""
+    exp, c = coeff.exponent, coeff.value
     sign = 1 if c > 0 else -1
     pieces = []
     if abs(c) != 1 or (exp == 0 and not mono):
@@ -98,8 +97,6 @@ def _term_text(mono: Monomial, coeff: LambdaPolynomial) -> tuple[int, str]:
         pieces.append(_lambda_text(exp))
     if mono:
         pieces.append(monomial_text(mono))
-    if not pieces:
-        pieces.append("1")
     return sign, "·".join(pieces)
 
 

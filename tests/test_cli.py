@@ -48,6 +48,13 @@ def test_expand_closed_form_agrees(capsys):
     assert d["terms"] == c["terms"]
 
 
+@pytest.mark.parametrize("route, provenance", [([], "direct"), (["--closed-form"], "closed_form")])
+def test_expand_1_json_is_the_zero_polynomial(capsys, route, provenance):
+    code, out = run(capsys, ["expand", "1", "--format", "json", *route])
+    assert code == 0
+    assert out == '{\n  "n": 1,\n  "provenance": "%s",\n  "terms": []\n}\n' % provenance
+
+
 def test_expand_small_values(capsys):
     assert run(capsys, ["expand", "1"])[1].strip() == "0"
     assert run(capsys, ["expand", "2"])[1].strip() == "u' − λ·u"

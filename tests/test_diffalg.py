@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from klpoly import DiffPolynomial, LambdaPolynomial
 from klpoly.diffalg import _derivative
-from klpoly.serialize import lambda_coeff_text, poly_from_obj
+from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_obj
 from helpers import dp, reference_apply_factor, reference_differentiate
 from helpers import monomials as monomials_at
 
@@ -25,8 +25,14 @@ def test_monomial_canonical_form():
     assert p[(1, 3, 0), 1] == 0
     # orders naming the same monomial add up
     assert dp({(0, 2, 2): {1: 1}, (2, 0, 2): {1: 1}}) == dp({(0, 2, 2): {1: 2}})
-    assert DiffPolynomial.u_power(0).terms() == [((), LambdaPolynomial({0: 1}))]
+    ((mono, coeff),) = DiffPolynomial.u_power(0).terms()
+    assert (mono, coeff.exponent, coeff.value) == ((), 0, 1)
     assert min_degree(dp({(0, 2, 2): {0: 1}, (5,): {1: 1}})) == 1
+
+
+def test_zero_polynomial_round_trips_through_json():
+    assert poly_to_obj(DiffPolynomial()) == []
+    assert poly_from_obj([]) == DiffPolynomial()
 
 
 def test_monomial_rejects_negative_orders():
@@ -38,15 +44,17 @@ def test_monomial_rejects_negative_orders():
         poly_from_obj([{"orders": [0, -1], "lambda_coeffs": [[0, "1"]]}])
 
 
-def test_lambda_polynomial_prunes_zeros():
-    p = LambdaPolynomial({0: 1, 2: 0})
-    assert p.items() == [(0, 1)]
-    assert LambdaPolynomial({1: 0, 2: 0}).items() == []
+def test_lambda_polynomial_is_one_pair():
+    # a weight-homogeneous coefficient is one power: value·λ^exponent
+    p = LambdaPolynomial(2, -5)
+    assert (p.exponent, p.value) == (2, -5)
+    assert LambdaPolynomial.__slots__ == ("exponent", "value")
+    assert not hasattr(p, "__dict__")
 
 
 def test_lambda_polynomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
-        LambdaPolynomial({-1: 2})
+        LambdaPolynomial(-1, 2)
 
 
 def test_poly_from_obj_rejects_negative_lambda_exponent():
@@ -62,10 +70,14 @@ def test_lambda_coefficients_through_the_flat_map():
     # λ-arithmetic is scaling by c·λ^e on the flat map; terms() views the result
     lam = DiffPolynomial.u_power(0).scale(1, lam=1)
     assert lam.scale(1, lam=1) == DiffPolynomial({((), 2): 1})
-    assert lam.scale(3).terms() == [((), LambdaPolynomial({1: 3}))]
-    assert DiffPolynomial({((), 0): 5}).terms()[0][1].items() == [(0, 5)]
+
+    def pairs(p):
+        return [(mono, coeff.exponent, coeff.value) for mono, coeff in p.terms()]
+
+    assert pairs(lam.scale(3)) == [((), 1, 3)]
+    assert pairs(DiffPolynomial({((), 0): 5})) == [((), 0, 5)]
     # λ itself is no constant: its one term sits at exponent 1
-    assert lam.terms()[0][1].items() == [(1, 1)]
+    assert pairs(lam) == [((), 1, 1)]
     # a coefficient of two λ-powers mixes weights, so it cannot be built
     with pytest.raises(ValueError):
         lam.scale(3) + DiffPolynomial({((), 0): 2})
@@ -73,9 +85,9 @@ def test_lambda_coefficients_through_the_flat_map():
 
 def test_lambda_coeff_text():
     # the even-n residuals of `verify identities` render this way
-    assert lambda_coeff_text(LambdaPolynomial()) == "0"
-    mixed = LambdaPolynomial({3: 7, 0: -2, 1: 1})
-    assert lambda_coeff_text(mixed) == "-2 + 1·λ + 7·λ^3"
+    assert lambda_coeff_text(LambdaPolynomial(0, -2)) == "-2"
+    assert lambda_coeff_text(LambdaPolynomial(1, 3)) == "3·λ"
+    assert lambda_coeff_text(LambdaPolynomial(3, 7)) == "7·λ^3"
 
 
 def test_mixed_weights_cannot_be_built():
