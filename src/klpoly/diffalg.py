@@ -2,8 +2,11 @@
 
 The central object is a finite sum of terms c·λ^e·u^(a1) u^(a2) ... u^(aj)
 with arbitrary-precision integers c.  A monomial u^(a1)···u^(aj) is the
-plain tuple of its derivative orders, sorted ascending: its length is the
-degree, its sum the order, and () is the constant 1.  Every polynomial
+``bytes`` of its derivative orders, sorted ascending, one order 0..255 per
+byte: its length is the degree, its sum the order, and b"" is the constant
+1.  Iterating it gives the orders as ints, and it compares as the tuple of
+its orders would; unlike a tuple it caches its hash, so the dict operations
+of the product rule do not rehash the key each time.  Every polynomial
 here is weight-homogeneous: degree + order + e is one weight w for all its
 terms, so λ carries no information of its own.  A polynomial is therefore
 one map monomial -> integer, with no zero value stored, and its weight;
@@ -19,7 +22,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Mapping
 
-Monomial = tuple[int, ...]
+Monomial = bytes
 
 
 class LambdaPolynomial:
@@ -40,11 +43,11 @@ class LambdaPolynomial:
 
 def canonical_monomial(orders: Iterable[int]) -> Monomial:
     """The monomial with these derivative orders: the orders sorted
-    ascending.  Raises ValueError on a negative order."""
-    mono = tuple(sorted(orders))
-    if mono and mono[0] < 0:
-        raise ValueError(f"negative derivative order in {mono}")
-    return mono
+    ascending.  Raises ValueError on an order outside 0..255."""
+    orders = sorted(orders)
+    if orders and (orders[0] < 0 or orders[-1] > 255):
+        raise ValueError(f"derivative order outside 0..255 in {tuple(orders)}")
+    return bytes(orders)
 
 
 @lru_cache(maxsize=None)
@@ -62,8 +65,32 @@ def _derivative(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     for t, run in groupby(mono):
         count = len(list(run))
         end += count
-        out.append((mono[: end - 1] + (t + 1,) + mono[end:], count))
+        out.append((mono[: end - 1] + bytes((t + 1,)) + mono[end:], count))
     return tuple(out)
+
+
+def _collect(
+    items: Iterable[tuple[tuple[Iterable[int], int], int]],
+) -> tuple[dict[Monomial, int], int]:
+    """The {π: c} map, zeros dropped, and the weight of the
+    ((orders, λ-exponent), coefficient) pairs; pairs naming the same term
+    add up.  Raises ValueError on an order outside 0..255, a negative
+    λ-exponent, or when the non-zero sums have more than one weight."""
+    # (π, e) -> (weight, π) is one to one, so each weight gets its own map
+    by_weight: dict[int, dict[Monomial, int]] = {}
+    for (orders, e), c in items:
+        if e < 0:
+            raise ValueError(f"negative λ exponent: {e}")
+        mono = canonical_monomial(orders)
+        acc = by_weight.setdefault(len(mono) + sum(mono) + e, {})
+        acc[mono] = acc.get(mono, 0) + c
+    weights = [w for w, acc in by_weight.items() if any(acc.values())]
+    if len(weights) > 1:
+        raise ValueError(f"terms of mixed weights {sorted(weights)}")
+    if not weights:
+        return {}, 0
+    acc = by_weight[weights[0]]
+    return (acc if all(acc.values()) else {mono: c for mono, c in acc.items() if c}), weights[0]
 
 
 class DiffPolynomial:
@@ -79,21 +106,9 @@ class DiffPolynomial:
     def __init__(self, terms: Mapping[tuple[Iterable[int], int], int] = ()):
         """Build from the flat map {(orders, λ-exponent): coefficient}; the
         orders need not be sorted, and keys naming the same term add up.
-        Raises ValueError on a negative order or λ-exponent, or when the
-        non-zero terms have more than one weight."""
-        # (π, e) -> (weight, π) is one to one, so each weight gets its own map
-        by_weight: dict[int, dict[Monomial, int]] = {}
-        for (orders, e), c in dict(terms).items():
-            if e < 0:
-                raise ValueError(f"negative λ exponent: {e}")
-            mono = canonical_monomial(orders)
-            acc = by_weight.setdefault(len(mono) + sum(mono) + e, {})
-            acc[mono] = acc.get(mono, 0) + c
-        weights = [w for w, acc in by_weight.items() if any(acc.values())]
-        if len(weights) > 1:
-            raise ValueError(f"terms of mixed weights {sorted(weights)}")
-        self.weight = weights[0] if weights else 0
-        self._terms = {mono: c for mono, c in by_weight.get(self.weight, {}).items() if c}
+        Raises ValueError on an order outside 0..255, a negative λ-exponent,
+        or when the non-zero terms have more than one weight."""
+        self._terms, self.weight = _collect(dict(terms).items())
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, int], weight: int) -> "DiffPolynomial":
@@ -109,7 +124,7 @@ class DiffPolynomial:
     @classmethod
     def u_power(cls, k: int) -> "DiffPolynomial":
         """The monomial u^k (k = 0 gives the constant 1)."""
-        return cls._wrap({(0,) * k: 1}, k)
+        return cls._wrap({bytes(k): 1}, k)
 
     def items(self):
         """((monomial, λ-exponent), coefficient) pairs, in no particular
@@ -119,8 +134,8 @@ class DiffPolynomial:
 
     def __getitem__(self, key: tuple[Iterable[int], int]) -> int:
         """The integer coefficient of λ^e·π for key (π, e), 0 when the term
-        is absent.  The orders of π may come in any order; a negative one
-        raises ValueError."""
+        is absent.  The orders of π may come in any order; one outside
+        0..255 raises ValueError."""
         orders, e = key
         mono = canonical_monomial(orders)
         return self._terms.get(mono, 0) if len(mono) + sum(mono) + e == self.weight else 0
@@ -172,7 +187,7 @@ class DiffPolynomial:
         return self._wrap(out, self.weight + 1)
 
     def multiply_by_u(self) -> "DiffPolynomial":
-        return self._wrap({(0,) + mono: c for mono, c in self._terms.items()}, self.weight + 1)
+        return self._wrap({b"\0" + mono: c for mono, c in self._terms.items()}, self.weight + 1)
 
     def apply_factor(self, m: int) -> "DiffPolynomial":
         """Apply the operator factor (∂ − u + mλ): the mλ term keeps each
@@ -181,11 +196,12 @@ class DiffPolynomial:
             raise ValueError("factor shift m must be non-negative")
         out = self.differentiate()._terms
         for mono, c in self._terms.items():
-            key = (0,) + mono
+            key = b"\0" + mono
             out[key] = out.get(key, 0) - c
             if m:
                 out[mono] = out.get(mono, 0) + m * c
         return self._wrap(out, self.weight + 1)
 
     def __repr__(self) -> str:
-        return f"DiffPolynomial({dict(sorted(self.items()))})"
+        terms = {(tuple(mono), e): c for (mono, e), c in sorted(self.items())}
+        return f"DiffPolynomial({terms})"

@@ -75,7 +75,7 @@ def kl_direct(n: int) -> KLExpansion:
     """Build f_{n,λ}(u) by direct operator application."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = {(0,) * n: 1}
+    out = {bytes(n): 1}
     for k in range(n):
         for mono, c in kth_term(n, k)._terms.items():
             out[mono] = out.get(mono, 0) + c
@@ -133,7 +133,7 @@ def coefficient_closed_form(n: int, j: int, alpha: int, pi: tuple[int, ...]) -> 
         raise ValueError(f"invalid grid point n={n}, j={j}, alpha={alpha}")
     pi = canonical_monomial(pi)
     if len(pi) != j or sum(pi) != alpha:
-        raise ValueError(f"monomial {pi} does not sit at (j={j}, alpha={alpha})")
+        raise ValueError(f"monomial {tuple(pi)} does not sit at (j={j}, alpha={alpha})")
     total = 0
     for k, w in _alternating_weights(n, j, alpha):
         total += w * _p_sums(j, alpha, k)._terms.get(pi, 0)

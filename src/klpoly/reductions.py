@@ -35,9 +35,10 @@ def reduce_order(p: DiffPolynomial, m: int) -> DiffPolynomial:
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     # each factor's λ-power keeps the weight, so this only relabels monomials
+    residue = bytes(t % m for t in range(256))
     out: dict = {}
     for mono, c in p._terms.items():
-        key = tuple(sorted(t % m for t in mono))
+        key = bytes(sorted(mono.translate(residue)))
         out[key] = out.get(key, 0) + c
     return DiffPolynomial._wrap(out, p.weight)
 

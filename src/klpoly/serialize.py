@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial
+from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial, _collect
 
 
 def poly_to_obj(p: DiffPolynomial) -> list[dict]:
@@ -41,14 +41,16 @@ def poly_to_json(p: DiffPolynomial) -> str:
 
 
 def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
-    """Inverse of poly_to_obj; raises ValueError on a negative order or
-    λ-exponent."""
-    return DiffPolynomial(
-        {
-            (tuple(entry["orders"]), e): int(c)
+    """Inverse of poly_to_obj, read in one pass into the monomial map;
+    terms naming the same monomial and λ-exponent add up.  Raises
+    ValueError on an order outside 0..255, a negative λ-exponent, or
+    non-zero terms of more than one weight."""
+    return DiffPolynomial._wrap(
+        *_collect(
+            ((entry["orders"], e), int(c))
             for entry in obj
             for e, c in entry["lambda_coeffs"]
-        }
+        )
     )
 
 

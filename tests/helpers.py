@@ -5,7 +5,6 @@ import cmath
 from dataclasses import dataclass
 
 from klpoly import DiffPolynomial, density, differential_word, enumerate_compositions
-from klpoly.diffalg import Monomial
 
 
 def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
@@ -15,11 +14,11 @@ def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
     )
 
 
-def monomials(j: int, alpha: int) -> list[Monomial]:
+def monomials(j: int, alpha: int) -> list[tuple[int, ...]]:
     """All degree-j, order-alpha differential monomials: partitions of
     alpha into at most j parts, zero-padded to length j, as sorted tuples."""
 
-    out: list[Monomial] = []
+    out: list[tuple[int, ...]] = []
 
     def ascending(total: int, slots: int, minimum: int, acc: tuple[int, ...]):
         if slots == 0:
@@ -62,9 +61,15 @@ def product(p: DiffPolynomial, q: DiffPolynomial) -> DiffPolynomial:
 
 
 # Reference kernel: ∂ and (∂ − u + mλ) on flat maps {(monomial, λ-exponent):
-# coefficient} of sorted monomials, by the plain run-length rule, with explicit
-# λ-exponents, no weight and no product-rule table; the tests hold diffalg's
-# kernel to it.
+# coefficient} of sorted tuple monomials, by the plain run-length rule, with
+# explicit λ-exponents, no weight and no product-rule table; the tests hold
+# diffalg's kernel to it through tuple_items.
+
+
+def tuple_items(p: DiffPolynomial) -> dict:
+    """p's flat map {(monomial, λ-exponent): coefficient}, each monomial the
+    tuple of its orders: the form the reference kernel reads and writes."""
+    return {(tuple(mono), e): c for (mono, e), c in p.items()}
 
 
 def reference_differentiate(flat: dict) -> dict:

@@ -1,13 +1,14 @@
-"""Core arithmetic on differential polynomials; a monomial is a sorted tuple."""
+"""Core arithmetic on differential polynomials; a monomial is the bytes of
+its sorted orders."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klpoly import DiffPolynomial, LambdaPolynomial
-from klpoly.diffalg import _derivative
+from klpoly.diffalg import _derivative, canonical_monomial
 from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_obj
-from helpers import dp, reference_apply_factor, reference_differentiate
+from helpers import dp, reference_apply_factor, reference_differentiate, tuple_items
 from helpers import monomials as monomials_at
 
 
@@ -19,14 +20,14 @@ def min_degree(p):
 def test_monomial_canonical_form():
     # the constructor and the p[π, e] lookup sort the orders they are given
     p = DiffPolynomial({((3, 0, 1), 0): 2})
-    assert [m for m, _ in p.terms()] == [(0, 1, 3)]
+    assert [m for m, _ in p.terms()] == [bytes((0, 1, 3))]
     assert p == dp({(0, 1, 3): {0: 2}})
     assert p[(1, 3, 0), 0] == 2
     assert p[(1, 3, 0), 1] == 0
     # orders naming the same monomial add up
     assert dp({(0, 2, 2): {1: 1}, (2, 0, 2): {1: 1}}) == dp({(0, 2, 2): {1: 2}})
     ((mono, coeff),) = DiffPolynomial.u_power(0).terms()
-    assert (mono, coeff.exponent, coeff.value) == ((), 0, 1)
+    assert (mono, coeff.exponent, coeff.value) == (b"", 0, 1)
     assert min_degree(dp({(0, 2, 2): {0: 1}, (5,): {1: 1}})) == 1
 
 
@@ -42,6 +43,47 @@ def test_monomial_rejects_negative_orders():
         DiffPolynomial.u_power(1)[(2, -1), 0]
     with pytest.raises(ValueError):
         poly_from_obj([{"orders": [0, -1], "lambda_coeffs": [[0, "1"]]}])
+
+
+@pytest.mark.parametrize("orders", [(-1,), (2, 256), (0, 300, 1)])
+def test_orders_outside_a_byte_are_rejected(orders):
+    # one byte per order: every way in names the range
+    with pytest.raises(ValueError, match="outside 0..255"):
+        canonical_monomial(orders)
+    with pytest.raises(ValueError, match="outside 0..255"):
+        DiffPolynomial({(orders, 0): 1})
+    with pytest.raises(ValueError, match="outside 0..255"):
+        DiffPolynomial.u_power(1)[orders, 0]
+    with pytest.raises(ValueError, match="outside 0..255"):
+        poly_from_obj([{"orders": list(orders), "lambda_coeffs": [[0, "1"]]}])
+
+
+def test_orders_at_the_ends_of_a_byte_are_kept():
+    assert canonical_monomial((255, 0, 7)) == bytes((0, 7, 255))
+    p = DiffPolynomial({((255, 0), 0): 3})
+    assert p[(0, 255), 0] == 3 and p.weight == 257
+    assert list(next(iter(p.terms()))[0]) == [0, 255]
+    # ∂ would take the 255 to 256: it raises, it does not wrap to 0
+    with pytest.raises(ValueError):
+        p.differentiate()
+
+
+def test_poly_from_obj_adds_duplicates_and_drops_zero_sums():
+    def entry(orders, e, c):
+        return {"orders": orders, "lambda_coeffs": [[e, str(c)]]}
+
+    # one term two or three times, its orders in any order: the coefficients add up
+    p = poly_from_obj([entry([1, 0], 0, 2), entry([0, 1], 0, 3)])
+    assert p == dp({(0, 1): {0: 5}})
+    assert poly_from_obj([entry([0, 1], 0, 2)] * 3) == dp({(0, 1): {0: 6}})
+    assert [type(m) for (m, _), _ in p.items()] == [bytes]
+    # a zero sum is dropped, and a zero sum at another weight is no mixed weight
+    p = poly_from_obj(
+        [entry([2], 0, 1), entry([0, 1], 0, 4), entry([1, 0], 0, -4)]
+        + [entry([0], 1, 7), entry([0], 1, -7)]
+    )
+    assert p == dp({(2,): {0: 1}}) and p.weight == 3
+    assert poly_from_obj([entry([0], 1, 7), entry([0], 1, -7)]) == DiffPolynomial()
 
 
 def test_lambda_polynomial_is_one_pair():
@@ -74,10 +116,10 @@ def test_lambda_coefficients_through_the_flat_map():
     def pairs(p):
         return [(mono, coeff.exponent, coeff.value) for mono, coeff in p.terms()]
 
-    assert pairs(lam.scale(3)) == [((), 1, 3)]
-    assert pairs(DiffPolynomial({((), 0): 5})) == [((), 0, 5)]
+    assert pairs(lam.scale(3)) == [(b"", 1, 3)]
+    assert pairs(DiffPolynomial({((), 0): 5})) == [(b"", 0, 5)]
     # λ itself is no constant: its one term sits at exponent 1
-    assert pairs(lam) == [((), 1, 1)]
+    assert pairs(lam) == [(b"", 1, 1)]
     # a coefficient of two λ-powers mixes weights, so it cannot be built
     with pytest.raises(ValueError):
         lam.scale(3) + DiffPolynomial({((), 0): 2})
@@ -204,7 +246,7 @@ diff_polys = weights.flatmap(polys_of_weight)
 def test_leibniz_rule(p):
     # d(u·p) = u'·p + u·dp, where u'-insertion adds a first-derivative factor
     lhs = p.multiply_by_u().differentiate()
-    uprime_insert = DiffPolynomial({(m + (1,), e): c for (m, e), c in p.items()})
+    uprime_insert = DiffPolynomial({(tuple(m) + (1,), e): c for (m, e), c in p.items()})
     rhs = p.differentiate().multiply_by_u() + uprime_insert
     assert lhs == rhs
 
@@ -233,11 +275,28 @@ def test_derivative_table_matches_the_run_length_rule():
     for j in range(13):
         for alpha in range(13 - j):
             for mono in monomials_at(j, alpha):
-                table = _derivative(mono)
+                table = _derivative(bytes(mono))
                 assert isinstance(table, tuple)
-                assert all(type(pair) is tuple and type(pair[0]) is tuple for pair in table)
+                assert all(type(pair) is tuple and type(pair[0]) is bytes for pair in table)
                 expected = {d: c for (d, _), c in reference_differentiate({(mono, 0): 1}).items()}
-                assert len(table) == len(expected) and dict(table) == expected, mono
+                got = {tuple(d): c for d, c in table}
+                assert len(table) == len(expected) and got == expected, mono
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=255), max_size=3),
+        max_size=8,
+    )
+)
+@settings(max_examples=100)
+def test_terms_keep_the_order_of_tuple_keys(orders):
+    # bytes compare as the tuples of their orders would, over the whole byte
+    p = DiffPolynomial({(tuple(o), 3 * 256 - len(o) - sum(o)): 1 for o in orders})
+    keys = [mono for mono, _ in p.terms()]
+    assert all(type(mono) is bytes for mono in keys)
+    as_tuples = sorted({tuple(sorted(o)) for o in orders}, key=lambda m: (len(m), sum(m), m))
+    assert [tuple(mono) for mono in keys] == as_tuples
 
 
 # The kernel against the flat-map reference of tests/helpers.py.
@@ -246,20 +305,20 @@ def test_derivative_table_matches_the_run_length_rule():
 @given(diff_polys)
 @settings(max_examples=200)
 def test_differentiate_matches_the_reference(p):
-    assert dict(p.differentiate().items()) == reference_differentiate(dict(p.items()))
+    assert tuple_items(p.differentiate()) == reference_differentiate(tuple_items(p))
 
 
 @given(diff_polys, st.integers(min_value=0, max_value=4))
 @settings(max_examples=200)
 def test_apply_factor_matches_the_reference(p, m):
-    assert dict(p.apply_factor(m).items()) == reference_apply_factor(dict(p.items()), m)
+    assert tuple_items(p.apply_factor(m)) == reference_apply_factor(tuple_items(p), m)
 
 
 @given(diff_polys)
 @settings(max_examples=100)
 def test_multiply_by_u_matches_the_reference(p):
-    expected = {((0,) + mono, e): c for (mono, e), c in p.items()}
-    assert dict(p.multiply_by_u().items()) == expected
+    expected = {((0,) + mono, e): c for (mono, e), c in tuple_items(p).items()}
+    assert tuple_items(p.multiply_by_u()) == expected
 
 
 @given(diff_polys, st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=2))

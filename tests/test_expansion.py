@@ -151,9 +151,15 @@ def test_p_sums_supports_lie_in_the_first_family():
     for j in range(1, 25):
         for alpha in range(25 - j):
             first = {key for key, _ in _p_sums(j, alpha, 1).items()}
-            assert first == {(pi, 0) for pi in monomials(j, alpha)}, (j, alpha)
+            assert first == {(bytes(pi), 0) for pi in monomials(j, alpha)}, (j, alpha)
             for k in range(2, j + 1):
                 assert {key for key, _ in _p_sums(j, alpha, k).items()} <= first, (j, alpha, k)
+
+
+def test_both_routes_key_every_monomial_as_bytes():
+    for n in range(1, 15):
+        for poly in (kl_direct(n).poly, kl_closed_form(n).poly):
+            assert all(type(mono) is bytes for (mono, _), _ in poly.items()), n
 
 
 def test_closed_form_route_never_applies_an_operator_factor(monkeypatch):

@@ -75,6 +75,13 @@ def test_reduce_order_substitution():
             reduce_order(p, m)
 
 
+def test_reduce_order_keys_every_monomial_as_bytes():
+    for n in range(2, 15):
+        for m in (1, 2, 3, 5):
+            reduced = reduce_order(kl_direct(n).poly, m)
+            assert all(type(mono) is bytes for (mono, _), _ in reduced.items()), (n, m)
+
+
 def test_question_iii_from_the_built_polynomial():
     # f_n vanishes on every solution of u^(m) = λ^m u only for m = 1, for
     # m = 2 at odd n, and for the zero polynomial f_1
