@@ -8,7 +8,6 @@ from .combinatorics import (
     differential_word,
     enumerate_compositions,
     factorial_sum_check,
-    g_poly,
     generalized_binomial,
     sum_of_products,
     sum_of_products_enumerated,

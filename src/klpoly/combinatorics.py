@@ -134,21 +134,6 @@ def sum_of_products_enumerated(n: int, alpha: int) -> int:
     return sum(prod(subset) for subset in combinations(range(1, n + 1), alpha))
 
 
-def g_poly(n: int) -> list[int]:
-    """Coefficients of the product (1+z)(1+2z)···(1+nz); the coefficient of
-    z^alpha is sum_of_products(n, alpha)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    coeffs = [1]
-    for a in range(1, n + 1):
-        coeffs = [
-            (coeffs[i] if i < len(coeffs) else 0)
-            + (a * coeffs[i - 1] if i > 0 else 0)
-            for i in range(len(coeffs) + 1)
-        ]
-    return coeffs
-
-
 def factorial_sum_check(n: int, m: int) -> tuple[int, int]:
     """Both sides of the identity
 

@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .combinatorics import (
     differential_word,
     enumerate_compositions,
-    g_poly,
     sum_of_products,
     weight_A_coefficients,
 )
@@ -220,11 +219,12 @@ def c_alpha_formula(n: int, alpha: int) -> int:
 
 
 def h_poly(n: int) -> list[int]:
-    """Coefficients of (n-1)(1-z) ∏_{m=1}^{n-2} (1+mz); the coefficient of
-    z^α equals the linear-part coefficient c[n-1-α]."""
+    """Coefficients of (n-1)(1-z) Σ_α S(n-2, α) z^α, which is
+    (n-1)(1-z) ∏_{m=1}^{n-2} (1+mz); the coefficient of z^α equals the
+    linear-part coefficient c[n-1-α]."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    g = g_poly(n - 2) if n > 2 else [1]
+    g = [sum_of_products(n - 2, alpha) for alpha in range(n - 1)]
     return [(n - 1) * (a - b) for a, b in zip(g + [0], [0] + g)]
 
 

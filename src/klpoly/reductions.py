@@ -119,8 +119,8 @@ def _roots_of_unity(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def h_at_root_of_unity_numeric(c: tuple[int, ...], m: int, r: int) -> Decimal:
-    """|h(ζ^r)| for the built linear part c = linear_part(n), to PRECISION
-    digits, as a cross-check on the exact verdicts: h(ζ^r) =
+    """|h(ζ^r)| for linear-part coefficients c, to PRECISION digits,
+    as a cross-check on the exact verdicts: h(ζ^r) =
     Σ c[i] ζ^(r(n−1−i)), n = len(c), two exact integer dot products of the
     coefficients with the real and imaginary parts of the reduced powers of ζ."""
     roots = _roots_of_unity(m)

@@ -19,7 +19,6 @@ from klpoly import (
     density,
     differential_word,
     factorial_sum_check,
-    g_poly,
     h_poly,
     kl_closed_form,
     kl_direct,
@@ -37,7 +36,7 @@ from klpoly.cli import main
 from klpoly.diffalg import DiffPolynomial
 from klpoly.reductions import h_at_root_of_unity_numeric
 from klpoly.serialize import poly_to_json
-from math import comb
+from math import comb, prod
 
 from helpers import ExpSolution, evaluate_at_exponential, weight
 
@@ -177,9 +176,12 @@ def test_criterion_11_property_suites(capsys):
                     assert all(e == 0 for (_, e), _ in word.items())
                     assert density(beta) == sum(c for _, c in word.items())
         for n in range(1, 21):
-            coeffs = g_poly(n)
-            for alpha in range(n + 1):
-                assert coeffs[alpha] == sum_of_products(n, alpha)
+            # the generating function (1 + z)···(1 + nz), at n + 1 points
+            row = [sum_of_products(n, alpha) for alpha in range(n + 1)]
+            for z in range(n + 1):
+                assert sum(s * z**alpha for alpha, s in enumerate(row)) == prod(
+                    1 + a * z for a in range(1, n + 1)
+                )
             if n <= 12:
                 for alpha in range(n + 1):
                     assert sum_of_products(n, alpha) == sum_of_products_enumerated(

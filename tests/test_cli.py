@@ -156,6 +156,12 @@ def test_linear_golden(capsys):
     assert out == (GOLDEN / "linear_5.txt").read_text()
 
 
+def test_hpoly_golden(capsys):
+    code, out = run(capsys, ["hpoly", "12"])
+    assert code == 0
+    assert out == (GOLDEN / "hpoly_12.txt").read_text()
+
+
 def test_hpoly(capsys):
     code, out = run(capsys, ["hpoly", "3", "--format", "json"])
     assert code == 0
@@ -262,13 +268,14 @@ def check_status(capsys, argv, check):
     return code, statuses[check]
 
 
-# the check each per-suite perturbation below reaches
-PERTURBED_CHECK = {
-    "identities": "first-identity n=3",
-    "linear": "linear-coefficient-formula n=3",
-    "thm5": "surviving-rates n=3 m=3",
-    "cstar": "c-star n=3 j=2",
-    "weights": "weight-closed-form j,k<= 2 alpha<=2",
+# the checks each per-suite perturbation below reaches; thm5's cross-check
+# reads the theory coefficients, so it fails with the verdict it is compared to
+PERTURBED_CHECKS = {
+    "identities": ["first-identity n=3"],
+    "linear": ["linear-coefficient-formula n=3"],
+    "thm5": ["surviving-rates n=3 m=3", "numeric-crosscheck n=3 m=3"],
+    "cstar": ["c-star n=3 j=2"],
+    "weights": ["weight-closed-form j,k<= 2 alpha<=2"],
 }
 
 
@@ -285,16 +292,19 @@ PERTURBED_CHECK = {
 def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bounds, perturb):
     # a negative control: every suite reads the values it checks
     argv = ["verify", suite, *bounds]
-    check = PERTURBED_CHECK[suite]
-    assert check_status(capsys, argv, check) == (0, "pass")
+    checks = PERTURBED_CHECKS[suite]
+    for check in checks:
+        assert check_status(capsys, argv, check) == (0, "pass")
     perturb(monkeypatch)
-    assert check_status(capsys, argv, check) == (1, "fail")
-    # the text report names the failing check and counts it in its summary
+    for check in checks:
+        assert check_status(capsys, argv, check) == (1, "fail")
+    # the text report names each failing check and counts it in its summary
     code, out = run(capsys, [*argv, "--no-timing"])
     assert code == 1, out
     lines = out.splitlines()
     failing = [line for line in lines if line.startswith(f"{'FAIL':>8}  ")]
-    assert any(line.split("  [")[0] == f"{'FAIL':>8}  {check}" for line in failing), out
+    failed = {line.split("  [")[0] for line in failing}
+    assert {f"{'FAIL':>8}  {check}" for check in checks} <= failed, out
     assert f" {len(failing)} failed, " in lines[-1], out
 
 
@@ -385,7 +395,7 @@ CHANGED_VALUES = [
     # same weight: the same coefficient sum, but no longer λ-free
     ("weights", "density-vs-word j,alpha<=5", "differential_word", ((0, 1),),
      lambda w: w + DiffPolynomial({((1,), 1): 1, ((0, 1), 0): -1})),
-    ("weights", "generating-function n<=20", "g_poly", (3,), lambda g: [g[0] + 1, *g[1:]]),
+    ("weights", "generating-function n<=20", "sum_of_products", (3, 1), lambda s: s + 1),
     ("weights", "product-sum recurrence-vs-enumeration n<=12",
      "sum_of_products_enumerated", (3, 1), lambda s: s + 1),
     ("weights", "factorial-sum n<=15", "factorial_sum_check", (3, 2),
@@ -419,6 +429,26 @@ def test_check_fails_on_one_changed_value(capsys, monkeypatch, suite, check, nam
     assert check_status(capsys, argv, check) == (0, "pass")
     monkeypatch.setattr(cli, name, changed)
     assert check_status(capsys, argv, check) == (1, "fail")
+
+
+@pytest.mark.parametrize(
+    "change", [{1: 25, 2: -1}, {1: -25, 2: 1}], ids=["above-base", "below-zero"]
+)
+def test_generating_function_fails_on_an_entry_outside_its_digit_range(
+    capsys, monkeypatch, change
+):
+    # S(3, ·) = (1, 6, 11, 6) with change[α] added to S(3, α): ±25 at α = 1
+    # against ∓1 at α = 2 keeps the row's value at the point the check reads,
+    # B = 4! + 1 = 25, but takes S(3, 1) outside [0, 25).  One changed
+    # coefficient is CHANGED_VALUES' case.
+    original = cli.sum_of_products
+    monkeypatch.setattr(
+        cli,
+        "sum_of_products",
+        lambda n, alpha: original(n, alpha) + (change.get(alpha, 0) if n == 3 else 0),
+    )
+    argv = ["verify", "weights", "--n-max", "2"]
+    assert check_status(capsys, argv, "generating-function n<=20") == (1, "fail")
 
 
 # each suite at the end of its accepted range: every identity, even residuals

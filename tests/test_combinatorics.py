@@ -11,7 +11,6 @@ from klpoly import (
     differential_word,
     enumerate_compositions,
     factorial_sum_check,
-    g_poly,
     generalized_binomial,
     sum_of_products,
     sum_of_products_enumerated,
@@ -237,17 +236,21 @@ def test_sum_of_products_deep_rows():
     assert sum_of_products(1500, 3) == comb(1501, 4) * comb(1501, 2)
 
 
-def test_g_poly_examples():
-    assert g_poly(1) == [1, 1]
-    assert g_poly(3) == [1, 6, 11, 6]
+def test_product_sum_rows():
+    # (1 + z) and (1 + z)(1 + 2z)(1 + 3z) = 1 + 6z + 11z^2 + 6z^3
+    assert [sum_of_products(1, alpha) for alpha in range(2)] == [1, 1]
+    assert [sum_of_products(3, alpha) for alpha in range(4)] == [1, 6, 11, 6]
 
 
-def test_g_poly_matches_sum_of_products():
+def test_product_sum_rows_generate_the_product():
+    # S(n, ·) holds the coefficients of (1 + z)···(1 + nz): two polynomials
+    # of degree n that agree at the n + 1 points z = 0..n are equal
     for n in range(1, 21):
-        coeffs = g_poly(n)
-        assert len(coeffs) == n + 1
-        for alpha in range(n + 1):
-            assert coeffs[alpha] == sum_of_products(n, alpha)
+        row = [sum_of_products(n, alpha) for alpha in range(n + 1)]
+        for z in range(n + 1):
+            assert sum(s * z**alpha for alpha, s in enumerate(row)) == prod(
+                1 + a * z for a in range(1, n + 1)
+            ), (n, z)
 
 
 def test_factorial_sum_examples():

@@ -293,7 +293,8 @@ def test_h_poly_reverses_linear_coefficients():
 
 
 def test_h_poly_is_the_reversed_c_alpha_row():
-    # g_poly's product against the S(n, ·) rows that c_alpha_formula reads
+    # h_poly's (n−1)(1 − z)·S(n−2, ·) against c_alpha_formula's
+    # n·S(n−2, ·) − S(n−1, ·), equal by the recurrence of the S rows
     for n in range(2, 201):
         assert h_poly(n) == [c_alpha_formula(n, n - 1 - a) for a in range(n)], n
 
