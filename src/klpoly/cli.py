@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an empty
 verification grid included), 3 internal error: any exception raised while
-computing.  Apart from argparse's own usage text, 2 and 3 print one stderr
-line.
+computing, 141 stdout closed early.  Apart from argparse's own usage text,
+2 and 3 print one stderr line; 141 prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import comb, factorial, prod
@@ -80,6 +81,7 @@ TABLE_MAX_ROWS = 25_000
 VERIFY_FAILURE = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, a shell's code for a writer killed by a closed pipe
 
 
 class UsageError(ValueError):
@@ -217,9 +219,8 @@ def suite_cstar(n_max: int) -> list[dict]:
 
 def _lambda_free_sum(p: DiffPolynomial) -> int | None:
     """The sum of p's coefficients; None when a term carries λ."""
-    if any(e for (_, e), _ in p.items()):
-        return None
-    return sum(c for _, c in p.items())
+    coeffs = [coeff for _, coeff in p.terms()]
+    return None if any(c.exponent for c in coeffs) else sum(c.value for c in coeffs)
 
 
 def _generates_its_product(n: int) -> bool:
@@ -428,7 +429,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argparse exits 2 itself."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # so that the exit flush writes what is still buffered to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return CLOSED_STDOUT
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

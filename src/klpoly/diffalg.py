@@ -126,12 +126,6 @@ class DiffPolynomial:
         """The monomial u^k (k = 0 gives the constant 1)."""
         return cls._wrap({bytes(k): 1}, k)
 
-    def items(self):
-        """((monomial, λ-exponent), coefficient) pairs, in no particular
-        order, as a generator to be read once."""
-        w = self.weight
-        return (((mono, w - len(mono) - sum(mono)), c) for mono, c in self._terms.items())
-
     def __getitem__(self, orders: Iterable[int]) -> int:
         """The integer coefficient of the monomial with these orders, 0 when
         it is absent; the weight fixes its λ-power.  The orders may come in
@@ -197,5 +191,5 @@ class DiffPolynomial:
         return self._wrap(out, self.weight + 1)
 
     def __repr__(self) -> str:
-        terms = {(tuple(mono), e): c for (mono, e), c in sorted(self.items())}
+        terms = {(tuple(mono), coeff.exponent): coeff.value for mono, coeff in self.terms()}
         return f"DiffPolynomial({terms})"

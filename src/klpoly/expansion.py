@@ -200,9 +200,8 @@ def linear_part(n: int) -> tuple[int, ...]:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     poly = kl_direct(n).poly
-    # a list, not a generator: as a generator it raised `verify all`'s peak RSS
-    # by 0.1 MiB on Python 3.11, measured when thm5's cross-check called this
-    # once per rate; in thm5 only thm5_verdict calls it now, once per (n, m)
+    # a list, not a generator: a generator raised `verify all`'s peak RSS by
+    # 0.1 MiB on Python 3.11
     return tuple([poly[(alpha,)] for alpha in range(n)])
 
 

@@ -134,12 +134,11 @@ def h_at_root_of_unity_numeric(c: tuple[int, ...], m: int, r: int) -> Decimal:
 
 
 def lambda_zero_pattern(m: int, k: int) -> dict[int, int]:
-    """Every λ^0 degree-1 term of the built (k+1)-st polynomial, as
-    {t: coefficient of u^(t)}.  By theory the linear part collapses at
-    λ = 0 to the single term k·u^(k), so this is {k: k}, and its vanishing
-    forces u^(k) = 0.  m, the least order with u^(m) = 0, is not read; it
-    stays because perfbench's tests call lambda_zero_pattern(1, 3)."""
+    """The λ^0 degree-1 part of the built f_{k+1} as {t: coefficient of
+    u^(t)}: weight k + 1 allows only u^(k), so this is {k: c}, {} when c = 0;
+    by theory c = k, which forces u^(k) = 0.  m, the least order with
+    u^(m) = 0, is not read; perfbench's tests call lambda_zero_pattern(1, 3)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    poly = kl_direct(k + 1).poly
-    return {mono[0]: c for (mono, e), c in poly.items() if len(mono) == 1 and e == 0}
+    c = kl_direct(k + 1).poly[(k,)]
+    return {k: c} if c else {}

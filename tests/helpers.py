@@ -14,6 +14,11 @@ def dp(spec: dict[tuple[int, ...], dict[int, int]]) -> DiffPolynomial:
     )
 
 
+def flat_terms(p: DiffPolynomial) -> list[tuple[tuple[bytes, int], int]]:
+    """p's ((monomial, λ-exponent), coefficient) pairs, read from terms()."""
+    return [((mono, coeff.exponent), coeff.value) for mono, coeff in p.terms()]
+
+
 def monomials(j: int, alpha: int) -> list[tuple[int, ...]]:
     """All degree-j, order-alpha differential monomials: partitions of
     alpha into at most j parts, zero-padded to length j, as sorted tuples."""
@@ -59,8 +64,8 @@ def factor(p: DiffPolynomial, m: int) -> DiffPolynomial:
 def product(p: DiffPolynomial, q: DiffPolynomial) -> DiffPolynomial:
     """p·q, term by term: monomials multiply by joining their orders."""
     out: dict = {}
-    for (m1, e1), c1 in p.items():
-        for (m2, e2), c2 in q.items():
+    for (m1, e1), c1 in flat_terms(p):
+        for (m2, e2), c2 in flat_terms(q):
             key = (m1 + m2, e1 + e2)
             out[key] = out.get(key, 0) + c1 * c2
     return DiffPolynomial(out)
@@ -75,7 +80,7 @@ def product(p: DiffPolynomial, q: DiffPolynomial) -> DiffPolynomial:
 def tuple_items(p: DiffPolynomial) -> dict:
     """p's flat map {(monomial, λ-exponent): coefficient}, each monomial the
     tuple of its orders: the form the reference kernel reads and writes."""
-    return {(tuple(mono), e): c for (mono, e), c in p.items()}
+    return {(tuple(mono), e): c for (mono, e), c in flat_terms(p)}
 
 
 def reference_differentiate(flat: dict) -> dict:
@@ -149,7 +154,7 @@ def evaluate_at_exponential(
     derivs: dict[int, complex] = {}
     total = 0j
     scale = 0.0
-    for (mono, e), c in p.items():
+    for (mono, e), c in flat_terms(p):
         factor = 1 + 0j
         for t in mono:
             if t not in derivs:

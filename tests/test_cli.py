@@ -363,19 +363,22 @@ def test_numeric_crosscheck_fails_on_a_changed_side(capsys, monkeypatch, name, v
 
 
 def test_lambda_zero_collapse_fails_on_a_changed_coefficient(capsys, monkeypatch):
-    # 1 more λ^0·u^(n−1) in every kl_direct(n), which the λ = 0 slice reads:
-    # the coefficient of u^(n−1) moves from n − 1 to n
+    # the coefficient of λ^0·u^(n−1) in every kl_direct(n), which the λ = 0
+    # slice reads, moves from n − 1 to n, or at n = 3 to 0, an empty slice
     original = expansion.kl_direct
-
-    def perturbed(n):
-        built = original(n)
-        return built._replace(poly=built.poly + DiffPolynomial({((n - 1,), 0): 1}))
-
     argv = ["verify", "linear", "--n-max", "3"]
     assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (0, "pass")
-    for module in (cli, expansion, reductions):
-        monkeypatch.setattr(module, "kl_direct", perturbed)
-    assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (1, "fail")
+    for change, pattern in ((1, {2: 3}), (-2, {})):
+
+        def perturbed(n):
+            built = original(n)
+            return built._replace(poly=built.poly + DiffPolynomial({((n - 1,), 0): change}))
+
+        with monkeypatch.context() as patch:
+            for module in (cli, expansion, reductions):
+                patch.setattr(module, "kl_direct", perturbed)
+            assert reductions.lambda_zero_pattern(1, 2) == pattern
+            assert check_status(capsys, argv, "lambda-zero-collapse n=3") == (1, "fail")
 
 
 def test_lambda_zero_collapse_fails_on_a_second_term():
@@ -603,6 +606,39 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err.splitlines() == [
         "internal error: RecursionError: maximum recursion depth exceeded while calling"
     ]
+
+
+def start_cli(argv, stdout, unbuffered=False):
+    src = Path(cli.__file__).parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "klpoly.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_reader_that_closes_early_gives_the_closed_stdout_code():
+    # 820 kB of JSON: far more than a pipe holds, so the writer is still
+    # printing when the reader goes
+    child = start_cli(["expand", "24", "--format", "json"], subprocess.PIPE)
+    assert child.stdout.read(10) == b'{\n  "n": 2'
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (cli.CLOSED_STDOUT, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_before_the_start_gives_the_closed_stdout_code(unbuffered):
+    # buffered, the short output first reaches the pipe in main's flush;
+    # unbuffered, in print itself
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    child = start_cli(["expand", "3"], write_end, unbuffered)
+    os.close(write_end)
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (cli.CLOSED_STDOUT, b"")
 
 
 SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "x"])

@@ -18,7 +18,7 @@ from klpoly import (
     weight_closed_form,
 )
 from klpoly.reductions import reduce_first_order
-from helpers import dp, product_rule_coefficient, weight
+from helpers import dp, flat_terms, product_rule_coefficient, weight
 
 TABLE_432 = {
     (0, 0, 0, 3): 64,
@@ -151,8 +151,8 @@ def test_density_equals_coefficient_sum():
         for alpha in range(6):
             for beta in enumerate_compositions(j, alpha, 1):
                 word = differential_word(beta)
-                assert all(e == 0 for (_, e), _ in word.items())
-                assert sum(c for _, c in word.items()) == density(beta)
+                assert all(e == 0 for (_, e), _ in flat_terms(word))
+                assert sum(c for _, c in flat_terms(word)) == density(beta)
 
 
 def test_first_order_reduction_of_words():

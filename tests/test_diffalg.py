@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpoly import DiffPolynomial, LambdaPolynomial
+from klpoly import DiffPolynomial, LambdaPolynomial, kl_direct
 from klpoly.diffalg import _derivative, canonical_monomial
 from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_obj
-from helpers import dp, factor, reference_apply_factor, reference_differentiate, tuple_items
+from helpers import dp, factor, flat_terms, tuple_items
+from helpers import reference_apply_factor, reference_differentiate
 from helpers import monomials as monomials_at
 
 
 def min_degree(p):
     """The least degree among p's monomials; None for the zero polynomial."""
-    return min((len(mono) for (mono, _), _ in p.items()), default=None)
+    return min((len(mono) for (mono, _), _ in flat_terms(p)), default=None)
 
 
 def test_monomial_canonical_form():
@@ -75,7 +76,7 @@ def test_poly_from_obj_adds_duplicates_and_drops_zero_sums():
     p = poly_from_obj([entry([1, 0], 0, 2), entry([0, 1], 0, 3)])
     assert p == dp({(0, 1): {0: 5}})
     assert poly_from_obj([entry([0, 1], 0, 2)] * 3) == dp({(0, 1): {0: 6}})
-    assert [type(m) for (m, _), _ in p.items()] == [bytes]
+    assert [type(m) for (m, _), _ in flat_terms(p)] == [bytes]
     # a zero sum is dropped, and a zero sum at another weight is no mixed weight
     p = poly_from_obj(
         [entry([2], 0, 1), entry([0, 1], 0, 4), entry([1, 0], 0, -4)]
@@ -122,6 +123,8 @@ def test_lambda_coefficients_through_the_flat_map():
     # a coefficient of two λ-powers mixes weights, so it cannot be built
     with pytest.raises(ValueError):
         lam.scale(3) + DiffPolynomial({((), 0): 2})
+    # terms() is the one view that names λ-powers
+    assert not hasattr(DiffPolynomial, "items")
 
 
 def test_lambda_coeff_text():
@@ -159,6 +162,14 @@ def test_zero_has_weight_zero():
     assert (p + p.scale(-1)).weight == 0
     # the same monomial map at two weights: two different polynomials
     assert DiffPolynomial.u_power(1) != DiffPolynomial.u_power(1).scale(1, lam=1)
+
+
+def test_repr_round_trips():
+    # weight 4 at λ-powers 0, 1, 3 and 4
+    mixed = dp({(0, 0, 1): {0: -3}, (2,): {1: 5}, (0,): {3: 7}, (): {4: 1}})
+    for p in (DiffPolynomial(), mixed, kl_direct(6).poly):
+        assert eval(repr(p), {"DiffPolynomial": DiffPolynomial}) == p
+    assert repr(DiffPolynomial()) == "DiffPolynomial({})"
 
 
 def test_differentiate_power_rule():
@@ -255,7 +266,7 @@ diff_polys = weights.flatmap(polys_of_weight)
 def test_leibniz_rule(p):
     # d(u·p) = u'·p + u·dp, where u'-insertion adds a first-derivative factor
     lhs = p.multiply_by_u().differentiate()
-    uprime_insert = DiffPolynomial({(tuple(m) + (1,), e): c for (m, e), c in p.items()})
+    uprime_insert = DiffPolynomial({(tuple(m) + (1,), e): c for (m, e), c in flat_terms(p)})
     rhs = p.differentiate().multiply_by_u() + uprime_insert
     assert lhs == rhs
 
@@ -333,8 +344,8 @@ def test_multiply_by_u_matches_the_reference(p):
 @given(diff_polys, st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=2))
 @settings(max_examples=100)
 def test_scale_matches_the_reference(p, c, lam):
-    expected = {(mono, e + lam): coeff * c for (mono, e), coeff in p.items() if c}
-    assert dict(p.scale(c, lam).items()) == expected
+    expected = {(mono, e + lam): coeff * c for (mono, e), coeff in flat_terms(p) if c}
+    assert dict(flat_terms(p.scale(c, lam))) == expected
 
 
 @given(weights.flatmap(lambda w: st.tuples(polys_of_weight(w), polys_of_weight(w))))
@@ -342,8 +353,8 @@ def test_scale_matches_the_reference(p, c, lam):
 def test_add_matches_the_reference(pair):
     p, q = pair
     for other in (q, p.scale(-1) + q):
-        expected = dict(p.items())
-        for key, c in other.items():
+        expected = dict(flat_terms(p))
+        for key, c in flat_terms(other):
             expected[key] = expected.get(key, 0) + c
         expected = {key: c for key, c in expected.items() if c}
-        assert dict((p + other).items()) == expected
+        assert dict(flat_terms(p + other)) == expected
