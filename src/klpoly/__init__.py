@@ -11,7 +11,6 @@ from .combinatorics import (
     generalized_binomial,
     sum_of_products,
     sum_of_products_enumerated,
-    weight_A_coefficients,
     weight_closed_form,
 )
 from .expansion import (

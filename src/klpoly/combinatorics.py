@@ -61,43 +61,25 @@ def density(beta: Composition) -> int:
     return prod(map(pow, range(1, len(beta) + 1), beta))
 
 
-@lru_cache(maxsize=None)
-def weight_A_coefficients(j: int) -> tuple[Fraction, ...]:
-    """The rational coefficients A[m] (1 <= m <= j) in the closed form for
-    the weight, indexed by m, computed bottom-up from A[j] = 1 by
-
-        A[k] = -k * sum over m in (k, j] of m^(m-k-1)/(m-k)! * A[m].
-
-    Index 0 holds 0, the recurrence's value at k = 0.  A tuple, so no
-    caller can change the cached values.
-    """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    a = [Fraction(0)] * j + [Fraction(1)]
-    for k in range(j - 1, 0, -1):
-        a[k] = -k * sum(
-            Fraction(m ** (m - k - 1), factorial(m - k)) * a[m]
-            for m in range(k + 1, j + 1)
-        )
-    return tuple(a)
-
-
 def weight_closed_form(j: int, alpha: int, k: int) -> Fraction:
-    """The weight of Z(j, alpha, k), the sum of its densities, evaluated
-    through the A-coefficient closed form:
+    """The weight of Z(j, alpha, k), the sum of its densities, by the
+    difference formula for h_alpha(k, ..., j): with d = j − k,
 
-        sum over m in [k, j] of m^(m-k)/(m-k)! * A[m] * m^alpha.
+        sum over m in [k, j] of (-1)^(j-m) C(d, m-k) m^(d+alpha), over d!.
 
-    The exact rational sum; the weights suite compares it with the
-    enumerated densities, so a non-integral value fails there.
+    This is the paper's sum over m of m^(m-k)/(m-k)! A[m] m^alpha with its
+    lemma A[m] = (−m)^(j−m)/(j−m)! put in (proof in the README).  The exact
+    rational value; the weights suite compares it with the enumerated
+    densities, so a non-integral value fails there.
     """
     if not 1 <= k <= j:
         raise ValueError(f"k must satisfy 1 <= k <= j, got k={k}, j={j}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    a = weight_A_coefficients(j)
-    return sum(
-        a[m] * Fraction(m ** (m - k + alpha), factorial(m - k)) for m in range(k, j + 1)
+    d = j - k
+    return Fraction(
+        sum((-1) ** (j - m) * comb(d, m - k) * m ** (d + alpha) for m in range(k, j + 1)),
+        factorial(d),
     )
 
 

@@ -23,7 +23,6 @@ from .combinatorics import (
     differential_word,
     enumerate_compositions,
     sum_of_products,
-    weight_A_coefficients,
 )
 from .diffalg import DiffPolynomial, canonical_monomial
 
@@ -173,25 +172,33 @@ def c_star(n: int, j: int) -> int:
 
 
 def c_star_factorial_form(n: int, j: int) -> Fraction:
-    """The same degree-j coefficient sum evaluated purely through the
-    A-coefficients and factorials:
+    """The same degree-j coefficient sum as one integer sum over j!:
 
-        sum over k, m of (-1)^(j-k) C(n,k) m^(m-j)/(m-k)! A[m] (n-k+m-1)!/(m-1)!
+        sum over k, m of (-1)^(m-k) C(n,k) j!/((m-k)!(j-m)!) (n-k+m-1)!/(m-1)!
 
-    with m ranging over [max(k, 1), j].  Validates the re-indexed route to
+    with m ranging over [max(k, 1), j].  This is the paper's factorial form
+    with m^(m-j) A[m] = (-1)^(j-m)/(j-m)! put in, by the lemma of
+    `combinatorics.weight_closed_form`.  Validates the re-indexed route to
     the vanishing result independently of any word expansion."""
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
-    a = weight_A_coefficients(j)
-    total = Fraction(0)
-    for k in range(j + 1):
-        # (n−k+m−1)!/(m−1)! = perm(n−k+m−1, n−k), and m^(m−j) = 1/m^(j−m)
-        inner = sum(
-            a[m] * Fraction(perm(n - k + m - 1, n - k), factorial(m - k) * m ** (j - m))
-            for m in range(max(k, 1), j + 1)
-        )
-        total += (-1) ** (j - k) * comb(n, k) * inner
-    return total
+    top = factorial(j)
+    # j!/((m−k)!(j−m)!) = C(j−k, m−k)·j!/(j−k)! is an integer, and
+    # (n−k+m−1)!/(m−1)! = perm(n−k+m−1, n−k)
+    return Fraction(
+        sum(
+            (-1) ** k
+            * comb(n, k)
+            * sum(
+                (-1) ** m
+                * (top // (factorial(m - k) * factorial(j - m)))
+                * perm(n - k + m - 1, n - k)
+                for m in range(max(k, 1), j + 1)
+            )
+            for k in range(j + 1)
+        ),
+        top,
+    )
 
 
 def linear_part(n: int) -> tuple[int, ...]:
@@ -200,9 +207,7 @@ def linear_part(n: int) -> tuple[int, ...]:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     poly = kl_direct(n).poly
-    # a list, not a generator: a generator raised `verify all`'s peak RSS by
-    # 0.1 MiB on Python 3.11
-    return tuple([poly[(alpha,)] for alpha in range(n)])
+    return tuple(poly[(alpha,)] for alpha in range(n))
 
 
 def c_alpha_formula(n: int, alpha: int) -> int:

@@ -3,6 +3,8 @@ suite."""
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 
 from klpoly import DiffPolynomial, density, differential_word, enumerate_compositions
 
@@ -47,6 +49,24 @@ def weight(j: int, alpha: int, k: int) -> int:
     if alpha < 0:
         return 0
     return sum(density(beta) for beta in enumerate_compositions(j, alpha, max(k, 1)))
+
+
+def a_coefficients(j: int) -> list[Fraction]:
+    """The paper's coefficients A[m] (1 <= m <= j) of the weight's closed
+    form, indexed by m, bottom-up from A[j] = 1 by its recurrence
+
+        A[k] = -k * sum over m in (k, j] of m^(m-k-1)/(m-k)! * A[m].
+
+    Index 0 holds 0, the recurrence's value at k = 0.  The reference the
+    integer forms of weight_closed_form and c_star_factorial_form are held
+    to."""
+    a = [Fraction(0)] * j + [Fraction(1)]
+    for k in range(j - 1, 0, -1):
+        a[k] = -k * sum(
+            Fraction(m ** (m - k - 1), factorial(m - k)) * a[m]
+            for m in range(k + 1, j + 1)
+        )
+    return a
 
 
 def product_rule_coefficient(beta: tuple[int, ...], pi: tuple[int, ...]) -> int:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpoly import cli, combinatorics, expansion, reductions
+from klpoly import cli, expansion, reductions
 from klpoly.cli import main
 from klpoly.diffalg import DiffPolynomial
 from klpoly.expansion import h_poly
@@ -310,11 +310,11 @@ def test_verify_fails_on_one_changed_coefficient(capsys, monkeypatch, suite, bou
 
 def test_non_integral_weight_closed_form_fails_by_name(capsys, monkeypatch):
     # a closed form off by 1/2 is a failed check (exit 1), not an internal error
-    original = combinatorics.weight_A_coefficients
+    original = cli.weight_closed_form
     monkeypatch.setattr(
-        combinatorics,
-        "weight_A_coefficients",
-        lambda j: tuple(a + Fraction(m == 1, 2) for m, a in enumerate(original(j))),
+        cli,
+        "weight_closed_form",
+        lambda j, alpha, k: original(j, alpha, k) + Fraction(1, 2),
     )
     argv = ["verify", "weights", "--n-max", "2"]
     assert check_status(capsys, argv, "weight-closed-form j,k<= 2 alpha<=2") == (1, "fail")
@@ -625,7 +625,8 @@ def test_reader_that_closes_early_gives_the_closed_stdout_code():
     child = start_cli(["expand", "24", "--format", "json"], subprocess.PIPE)
     assert child.stdout.read(10) == b'{\n  "n": 2'
     child.stdout.close()
-    err = child.stderr.read()
+    with child.stderr:
+        err = child.stderr.read()
     assert (child.wait(timeout=60), err) == (cli.CLOSED_STDOUT, b"")
 
 
@@ -637,7 +638,8 @@ def test_stdout_closed_before_the_start_gives_the_closed_stdout_code(unbuffered)
     os.close(read_end)
     child = start_cli(["expand", "3"], write_end, unbuffered)
     os.close(write_end)
-    err = child.stderr.read()
+    with child.stderr:
+        err = child.stderr.read()
     assert (child.wait(timeout=60), err) == (cli.CLOSED_STDOUT, b"")
 
 

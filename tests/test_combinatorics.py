@@ -14,11 +14,10 @@ from klpoly import (
     generalized_binomial,
     sum_of_products,
     sum_of_products_enumerated,
-    weight_A_coefficients,
     weight_closed_form,
 )
 from klpoly.reductions import reduce_first_order
-from helpers import dp, flat_terms, product_rule_coefficient, weight
+from helpers import a_coefficients, dp, flat_terms, product_rule_coefficient, weight
 
 TABLE_432 = {
     (0, 0, 0, 3): 64,
@@ -174,25 +173,16 @@ def test_weight_examples():
 
 
 def test_weight_A_coefficients():
-    a4 = weight_A_coefficients(4)
-    assert a4[4] == 1
-    assert a4[3] == -3
-    assert a4[2] == 2
+    a4 = a_coefficients(4)
+    assert a4 == [0, Fraction(-1, 6), 2, -3, 1]
     # W(j, α, k) is the complete homogeneous symmetric polynomial h_α(k, …, j),
-    # whose divided-difference form gives A[m] = (−m)^(j−m)/(j−m)!
+    # whose divided-difference form gives A[m] = (−m)^(j−m)/(j−m)!, the
+    # lemma weight_closed_form and c_star_factorial_form rest on
     for j in range(1, 31):
-        a = weight_A_coefficients(j)
+        a = a_coefficients(j)
         assert len(a) == j + 1 and a[0] == 0
         for m in range(1, j + 1):
             assert a[m] == Fraction((-m) ** (j - m), factorial(j - m)), (j, m)
-
-
-def test_weight_A_coefficients_cache_is_read_only():
-    a4 = weight_A_coefficients(4)
-    with pytest.raises(TypeError):
-        a4[1] = Fraction(0)
-    assert weight_A_coefficients(4) == (0, Fraction(-1, 6), 2, -3, 1)
-    assert weight_closed_form(4, 3, 2) == 285
 
 
 def test_weight_closed_form_examples():
@@ -282,9 +272,10 @@ def test_generalized_binomial():
 
 
 def test_weight_closed_form_matches_the_fraction_product():
-    # the reference multiplies m^(m−k)/(m−k)!, A[m] and m^α as Fractions
+    # the reference multiplies m^(m−k)/(m−k)!, A[m] and m^α as Fractions,
+    # with A[m] from the paper's recurrence
     for j in range(1, 9):
-        a = weight_A_coefficients(j)
+        a = a_coefficients(j)
         for k in range(1, j + 1):
             for alpha in range(9):
                 total = sum(

@@ -24,12 +24,12 @@ from klpoly import (
     kth_term,
     linear_factorization,
     linear_part,
-    weight_A_coefficients,
+    weight_closed_form,
 )
 from klpoly import expansion
 from klpoly.expansion import _p_sums
 from klpoly.serialize import poly_to_json, poly_to_obj
-from helpers import dp, factor, flat_terms, monomials, product
+from helpers import a_coefficients, dp, factor, flat_terms, monomials, product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,6 +165,17 @@ def test_p_sums_supports_lie_in_the_first_family():
                 assert {key for key, _ in flat_terms(_p_sums(j, alpha, k))} <= first, (j, alpha, k)
 
 
+def test_p_sum_totals_are_the_family_weights():
+    # c_star rests on this: each word's coefficients sum to its density, so
+    # the coefficient total of S_k(j, α) is the weight W(j, α, k), far past
+    # the grid the weights suite enumerates
+    for j in range(1, 25):
+        for alpha in range(25 - j):
+            for k in range(1, j + 1):
+                total = sum(_p_sums(j, alpha, k)._terms.values())
+                assert total == weight_closed_form(j, alpha, k), (j, alpha, k)
+
+
 def test_both_routes_key_every_monomial_as_bytes():
     for n in range(1, 15):
         for poly in (kl_direct(n).poly, kl_closed_form(n).poly):
@@ -194,7 +205,6 @@ def test_direct_route_never_reaches_the_closed_form(monkeypatch):
         "sum_of_products",
         "differential_word",
         "enumerate_compositions",
-        "weight_A_coefficients",
         "_p_sums",
     )
     with monkeypatch.context() as patched:
@@ -229,9 +239,10 @@ def test_c_star_vanishes():
 def test_c_star_factorial_form_matches_the_fraction_product(comb_without_cancellation):
     # for each m the alternating sum over k of C(n, k)·(n−k+m−1)!/(m−k)!
     # cancels, so weights 10^k + 1 in place of C(n, k) make every term
-    # count; the reference takes one Fraction per factor
+    # count; the reference takes one Fraction per factor, with A[m] from the
+    # paper's recurrence
     for j in range(1, 9):
-        a = weight_A_coefficients(j)
+        a = a_coefficients(j)
         for n in range(j, 15):
             total = Fraction(0)
             for k in range(j + 1):
