@@ -123,9 +123,7 @@ def cmd_table(args) -> int:
     count = comb(alpha + j - k, j - k)
     if count > TABLE_MAX_ROWS:
         raise UsageError(f"Z({j},{alpha},{k}) has {count} rows, more than {TABLE_MAX_ROWS}")
-    rows = enumerate_compositions(j, alpha, k)
-    if (j, alpha, k) == (4, 3, 2):
-        rows = [tuple(beta) for beta in TABLE_432_ORDER]
+    rows = TABLE_432_ORDER if (j, alpha, k) == (4, 3, 2) else enumerate_compositions(j, alpha, k)
     entries = [(beta, density(beta)) for beta in rows]
     total = sum(d for _, d in entries)
     payload = {
@@ -392,27 +390,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("table", help="density table for compositions of (j, alpha, k)")
-    p.add_argument("j", type=int)
-    p.add_argument("alpha", type=int)
-    p.add_argument("k", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("cstar", help="degree-wise coefficient sums (all zero)")
-    p.add_argument("n", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_cstar)
-
-    p = sub.add_parser("linear", help="linear-part coefficients")
-    p.add_argument("n", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_linear)
-
-    p = sub.add_parser("hpoly", help="generating polynomial of the linear part")
-    p.add_argument("n", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_hpoly)
+    # the subcommands that take integer positionals and --format alone
+    for name, func, help_text, positionals in (
+        ("table", cmd_table, "density table for compositions of (j, alpha, k)", "j alpha k"),
+        ("cstar", cmd_cstar, "degree-wise coefficient sums (all zero)", "n"),
+        ("linear", cmd_linear, "linear-part coefficients", "n"),
+        ("hpoly", cmd_hpoly, "generating polynomial of the linear part", "n"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for dest in positionals.split():
+            p.add_argument(dest, type=int)
+        add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["all", *SUITES])

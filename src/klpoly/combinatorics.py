@@ -85,22 +85,21 @@ def weight_closed_form(j: int, alpha: int, k: int) -> Fraction:
 
 def sum_of_products(n: int, alpha: int) -> int:
     """Sum over all alpha-element subsets A of {1, ..., n} of the product
-    of A; 1 when alpha = 0, 0 when alpha < 0 or alpha > max(n, 0).
+    of A; 0 when alpha < 0 or alpha > max(n, 0).
 
-    Read from the row of S(n, ·); cross-validated in the test suite against
-    literal subset enumeration.
+    Read from the row of S(n, ·), which for n <= 0 is (1,), the row of the
+    empty product; so S(n, 0) = 1 for every n, S(−1, 0) included.
+    Cross-validated in the test suite against literal subset enumeration.
     """
-    if alpha == 0:
-        return 1
-    if alpha < 0 or n < 1 or alpha > n:
-        return 0
-    return _product_sum_row(n)[alpha]
+    row = _product_sum_row(n)
+    return row[alpha] if 0 <= alpha < len(row) else 0
 
 
 @lru_cache(maxsize=64)
 def _product_sum_row(n: int) -> tuple[int, ...]:
     """(S(n, 0), ..., S(n, n)), built iteratively from S(0, ·) = (1,) by the
-    Pascal-like recurrence S(m, a) = S(m-1, a) + m*S(m-1, a-1)."""
+    Pascal-like recurrence S(m, a) = S(m-1, a) + m*S(m-1, a-1); (1,) for
+    n <= 0."""
     row = [1]
     for m in range(1, n + 1):
         row = [1] + [row[a] + m * row[a - 1] for a in range(1, m)] + [m * row[-1]]

@@ -1,5 +1,6 @@
 """CLI behavior: goldens, determinism, exit codes, report schema."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpoly import cli, expansion, reductions
+from klpoly import cli, enumerate_compositions, expansion, reductions
 from klpoly.cli import main
 from klpoly.diffalg import DiffPolynomial
 from klpoly.expansion import h_poly
@@ -128,6 +129,12 @@ def test_table_golden(capsys):
     assert out == (GOLDEN / "table_4_3_2.txt").read_text()
     densities = [int(line.split()[-1]) for line in out.strip().splitlines()]
     assert densities == [64, 48, 36, 27, 24, 18, 32, 12, 16, 8, 285]
+
+
+def test_table_432_order_lists_the_family():
+    # the published order is a permutation of Z(4, 3, 2), which cmd_table
+    # prints instead of the lexicographic enumeration
+    assert sorted(cli.TABLE_432_ORDER) == enumerate_compositions(4, 3, 2)
 
 
 def test_table_weight_6069(capsys):
@@ -516,6 +523,61 @@ def test_verify_thm5_runs_with_mpmath_blocked():
     child = run_child(script)
     assert child.returncode == 0, child.stderr
     assert child.stdout == (GOLDEN / "verify_thm5_20.json").read_text()
+
+
+HELP = ("-h", "--help"), None, None, argparse.SUPPRESS, "show this help message and exit"
+FORMAT = ("--format",), None, ["json", "text"], "text", None
+
+
+def positional(dest, choices=None):
+    return dest, None if choices else int, choices, None, None
+
+
+# Each subcommand, in order: its help, then each argument as (option strings,
+# or dest for a positional; type; choices; default; help).
+CLI_SURFACE = [
+    ("expand", "expand the n-th polynomial, 1 <= n <= 24", [
+        HELP,
+        positional("n"),
+        (("--closed-form",), None, None, False, None),
+        FORMAT,
+    ]),
+    ("table", "density table for compositions of (j, alpha, k)", [
+        HELP, positional("j"), positional("alpha"), positional("k"), FORMAT,
+    ]),
+    ("cstar", "degree-wise coefficient sums (all zero)", [HELP, positional("n"), FORMAT]),
+    ("linear", "linear-part coefficients", [HELP, positional("n"), FORMAT]),
+    ("hpoly", "generating polynomial of the linear part", [HELP, positional("n"), FORMAT]),
+    ("verify", "run a verification suite", [
+        HELP,
+        positional("suite", ["all", "identities", "cstar", "weights", "linear", "thm5"]),
+        (("--n-max",), int, None, None, None),
+        (("--m-max",), int, None, None, None),
+        (("--no-timing",), None, None, False, "omit wall time from the report"),
+        FORMAT,
+    ]),
+]
+
+
+def test_cli_surface():
+    (sub,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    surface = [
+        (name, helps[name], [
+            (
+                tuple(a.option_strings) or a.dest,
+                a.type,
+                None if a.choices is None else list(a.choices),
+                a.default,
+                a.help,
+            )
+            for a in parser._actions
+        ])
+        for name, parser in sub.choices.items()
+    ]
+    assert surface == CLI_SURFACE
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -89,6 +89,22 @@ def test_kth_term_matches_the_operator_chain():
             assert kth_term(n, k) == p.scale(comb(n, k)), (n, k)
 
 
+def test_first_two_summands_are_the_linear_factorization_chain():
+    # E(1) = −u, so E^a(1) = −E^(a−1)(u), and the k = 0 and k = 1 summands
+    # combine to (n−1)(E − λ)·∏_{a=1..n−2}(E + aλ)·u (proof in the README)
+    of_one, minus_of_u = DiffPolynomial.u_power(0), DiffPolynomial.u_power(1).scale(-1)
+    for a in range(1, 14):
+        of_one = of_one.apply_factor()
+        assert of_one == minus_of_u, a
+        minus_of_u = minus_of_u.apply_factor()
+    for n in range(2, 15):
+        p = DiffPolynomial.u_power(1)
+        for a in range(1, n - 1):
+            p = factor(p, a)
+        expected = factor(p, -1).scale(n - 1)
+        assert kth_term(n, 0) + kth_term(n, 1) == expected, n
+
+
 def test_kl_direct_small():
     assert not kl_direct(1).poly
     assert kl_direct(2).poly == dp({(1,): {0: 1}, (0,): {1: -1}})
