@@ -105,6 +105,18 @@ def _p_sums(j: int, alpha: int, k: int) -> DiffPolynomial:
     return s
 
 
+def _p_sum_totals(j: int, k: int, top: int) -> list[int]:
+    """[T_k(j, α) for α = 0..top], T_k(j, α) the coefficient total of
+    S_k(j, α), which is W(j, α, k) = h_α(k, …, j).  u· keeps a total and ∂
+    multiplies the total of a degree-m polynomial by m, so by `_p_sums`'
+    recurrence T_k(m, α) = T_k(m−1, α) + m·T_k(m, α−1), T_k(k, α) = k^α."""
+    row = [k**alpha for alpha in range(top + 1)]
+    for m in range(k + 1, j + 1):
+        for alpha in range(1, top + 1):
+            row[alpha] += m * row[alpha - 1]
+    return row
+
+
 @lru_cache(maxsize=64)
 def _alternating_weights(n: int, j: int, alpha: int) -> tuple[tuple[int, int], ...]:
     """(k', (-1)^(j-k) C(n,k) S(n-k-1, n-j-α)) for each k in [0, j] whose
@@ -161,11 +173,12 @@ def c_star(n: int, j: int) -> int:
 
     Every monomial of S_k(j, α) sits at (j, α), so the sum over π of one
     summand of the closed form is its weight times the coefficient total
-    of S_k(j, α)."""
+    of S_k(j, α), which `_p_sum_totals` computes without building it."""
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
+    totals = {k: _p_sum_totals(j, k, n - j) for k in range(1, j + 1)}
     return sum(
-        w * sum(_p_sums(j, alpha, k)._terms.values())
+        w * totals[k][alpha]
         for alpha in range(n - j + 1)
         for k, w in _alternating_weights(n, j, alpha)
     )

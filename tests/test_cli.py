@@ -175,6 +175,12 @@ def test_hpoly(capsys):
     assert json.loads(out)["coefficients"] == [2, 0, -2]
 
 
+def test_cstar_golden(capsys):
+    code, out = run(capsys, ["cstar", "28"])
+    assert code == 0
+    assert out == (GOLDEN / "cstar_28.txt").read_text()
+
+
 def test_cstar_all_zero(capsys):
     code, out = run(capsys, ["cstar", "6", "--format", "json"])
     assert code == 0
@@ -250,13 +256,14 @@ def perturb_direct(monkeypatch):
 
 
 def perturb_closed_form(monkeypatch):
-    # 1 more u·u' in S_k(2, 1) for every k, whose coefficient totals c* reads
-    original = expansion._p_sums
+    # 1 more in the coefficient total of S_k(2, 1) for every k, the integer c* reads
+    original = expansion._p_sum_totals
     monkeypatch.setattr(
         expansion,
-        "_p_sums",
-        lambda j, alpha, k: original(j, alpha, k)
-        + DiffPolynomial({((0, 1), 0): (j, alpha) == (2, 1)}),
+        "_p_sum_totals",
+        lambda j, k, top: [
+            t + ((j, alpha) == (2, 1)) for alpha, t in enumerate(original(j, k, top))
+        ],
     )
 
 

@@ -27,7 +27,7 @@ from klpoly import (
     weight_closed_form,
 )
 from klpoly import expansion
-from klpoly.expansion import _p_sums
+from klpoly.expansion import _p_sum_totals, _p_sums
 from klpoly.serialize import poly_to_json, poly_to_obj
 from helpers import a_coefficients, dp, factor, flat_terms, monomials, product
 
@@ -184,11 +184,14 @@ def test_p_sums_supports_lie_in_the_first_family():
 def test_p_sum_totals_are_the_family_weights():
     # c_star rests on this: each word's coefficients sum to its density, so
     # the coefficient total of S_k(j, α) is the weight W(j, α, k), far past
-    # the grid the weights suite enumerates
+    # the grid the weights suite enumerates; the integer recurrence c_star
+    # reads gives the same totals without building S_k(j, α)
     for j in range(1, 25):
-        for alpha in range(25 - j):
-            for k in range(1, j + 1):
-                total = sum(_p_sums(j, alpha, k)._terms.values())
+        for k in range(1, j + 1):
+            row = _p_sum_totals(j, k, 24 - j)
+            assert len(row) == 25 - j, (j, k)
+            for alpha, total in enumerate(row):
+                assert total == sum(_p_sums(j, alpha, k)._terms.values()), (j, alpha, k)
                 assert total == weight_closed_form(j, alpha, k), (j, alpha, k)
 
 
@@ -209,6 +212,19 @@ def test_closed_form_route_never_applies_an_operator_factor(monkeypatch):
         patched.setattr(expansion, "kl_direct", forbidden)
         closed = kl_closed_form(8).poly
     assert closed == kl_direct(8).poly
+
+
+def test_c_star_builds_no_polynomial(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("c_star built a polynomial")
+
+    with monkeypatch.context() as patched:
+        for name in ("_p_sums", "differential_word", "enumerate_compositions"):
+            patched.setattr(expansion, name, forbidden)
+        for name in ("differentiate", "multiply_by_u", "__add__"):
+            patched.setattr(DiffPolynomial, name, forbidden)
+        for n in range(1, 41):
+            assert all(c_star(n, j) == 0 for j in range(1, n + 1)), n
 
 
 def test_direct_route_never_reaches_the_closed_form(monkeypatch):
