@@ -18,9 +18,9 @@ power.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Mapping
 
 Monomial = bytes
 
@@ -69,30 +69,6 @@ def _derivative(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple(out)
 
 
-def _collect(
-    items: Iterable[tuple[tuple[Iterable[int], int], int]],
-) -> tuple[dict[Monomial, int], int]:
-    """The {π: c} map, zeros dropped, and the weight of the
-    ((orders, λ-exponent), coefficient) pairs; pairs naming the same term
-    add up.  Raises ValueError on an order outside 0..255, a negative
-    λ-exponent, or when the non-zero sums have more than one weight."""
-    # (π, e) -> (weight, π) is one to one, so each weight gets its own map
-    by_weight: dict[int, dict[Monomial, int]] = {}
-    for (orders, e), c in items:
-        if e < 0:
-            raise ValueError(f"negative λ exponent: {e}")
-        mono = canonical_monomial(orders)
-        acc = by_weight.setdefault(len(mono) + sum(mono) + e, {})
-        acc[mono] = acc.get(mono, 0) + c
-    weights = [w for w, acc in by_weight.items() if any(acc.values())]
-    if len(weights) > 1:
-        raise ValueError(f"terms of mixed weights {sorted(weights)}")
-    if not weights:
-        return {}, 0
-    acc = by_weight[weights[0]]
-    return (acc if all(acc.values()) else {mono: c for mono, c in acc.items() if c}), weights[0]
-
-
 class DiffPolynomial:
     """Finite sum of terms c·λ^e·π of one weight w = deg π + ord π + e,
     stored as {π: c} with c != 0 and the weight beside it: each term's
@@ -103,12 +79,30 @@ class DiffPolynomial:
 
     __slots__ = ("_terms", "weight")
 
-    def __init__(self, terms: Mapping[tuple[Iterable[int], int], int] = ()):
-        """Build from the flat map {(orders, λ-exponent): coefficient}; the
-        orders need not be sorted, and keys naming the same term add up.
-        Raises ValueError on an order outside 0..255, a negative λ-exponent,
-        or when the non-zero terms have more than one weight."""
-        self._terms, self.weight = _collect(dict(terms).items())
+    def __init__(self, terms: Mapping | Iterable[tuple[tuple[Iterable[int], int], int]] = ()):
+        """Build from the flat map {(orders, λ-exponent): coefficient} or its
+        ((orders, λ-exponent), coefficient) pairs; the orders need not be
+        sorted, and pairs naming the same term add up.  Raises ValueError on
+        an order outside 0..255, a non-int exponent or coefficient, a
+        negative exponent, or non-zero sums of more than one weight."""
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        # (π, e) -> (weight, π) is one to one, so each weight gets its own map
+        by_weight: dict[int, dict[Monomial, int]] = {}
+        for (orders, e), c in terms:
+            if type(e) is not int or type(c) is not int:
+                raise ValueError(f"non-integer term: λ exponent {e!r}, coefficient {c!r}")
+            if e < 0:
+                raise ValueError(f"negative λ exponent: {e}")
+            mono = canonical_monomial(orders)
+            acc = by_weight.setdefault(len(mono) + sum(mono) + e, {})
+            acc[mono] = acc.get(mono, 0) + c
+        weights = [w for w, acc in by_weight.items() if any(acc.values())]
+        if len(weights) > 1:
+            raise ValueError(f"terms of mixed weights {sorted(weights)}")
+        self.weight = weights[0] if weights else 0
+        acc = by_weight.get(self.weight, {})
+        self._terms = acc if all(acc.values()) else {mono: c for mono, c in acc.items() if c}
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, int], weight: int) -> "DiffPolynomial":
@@ -163,7 +157,10 @@ class DiffPolynomial:
         return self._wrap(out, self.weight)
 
     def scale(self, c: int, lam: int = 0) -> "DiffPolynomial":
-        """Multiply by c·λ^lam."""
+        """Multiply by c·λ^lam; raises ValueError unless c and lam are ints
+        and lam >= 0."""
+        if type(c) is not int or type(lam) is not int:
+            raise ValueError(f"non-integer scale: c = {c!r}, lam = {lam!r}")
         if lam < 0:
             raise ValueError(f"negative λ exponent: {lam}")
         return self._wrap(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial, _collect
+from .diffalg import DiffPolynomial, LambdaPolynomial, Monomial
 
 
 def poly_to_obj(p: DiffPolynomial) -> list[dict]:
@@ -41,20 +41,18 @@ def poly_to_json(p: DiffPolynomial) -> str:
 
 
 def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
-    """Inverse of poly_to_obj, read in one pass into the monomial map;
-    terms naming the same monomial and λ-exponent add up.  Raises
-    ValueError on an order outside 0..255, a negative λ-exponent, or
-    non-zero terms of more than one weight.  It adopts ``_collect``'s map
-    rather than call the public constructor: a constructor that also took
-    these pairs raised expand-direct peak RSS from 21.21 to 21.34 MiB in 3
-    of 3 runs, above that workload's 0.1 MiB bound."""
-    return DiffPolynomial._wrap(
-        *_collect(
-            ((entry["orders"], e), int(c))
-            for entry in obj
-            for e, c in entry["lambda_coeffs"]
-        )
+    """Inverse of poly_to_obj; terms naming the same monomial and
+    λ-exponent add up.  Raises ValueError where the constructor does, and
+    on a coefficient that is not a decimal string."""
+    return DiffPolynomial(
+        ((entry["orders"], e), _decimal(c)) for entry in obj for e, c in entry["lambda_coeffs"]
     )
+
+
+def _decimal(c: object) -> int:
+    if type(c) is not str:
+        raise ValueError(f"coefficient {c!r} is not a decimal string")
+    return int(c)
 
 
 def _factor_text(t: int) -> str:

@@ -1,13 +1,16 @@
 """Core arithmetic on differential polynomials; a monomial is the bytes of
 its sorted orders."""
 
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klpoly import DiffPolynomial, LambdaPolynomial, kl_direct
 from klpoly.diffalg import _derivative, canonical_monomial
-from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_obj
+from klpoly.serialize import lambda_coeff_text, poly_from_obj, poly_to_json, poly_to_obj
 from helpers import dp, factor, flat_terms, tuple_items
 from helpers import reference_apply_factor, reference_differentiate
 from helpers import monomials as monomials_at
@@ -16,6 +19,22 @@ from helpers import monomials as monomials_at
 def min_degree(p):
     """The least degree among p's monomials; None for the zero polynomial."""
     return min((len(mono) for (mono, _), _ in flat_terms(p)), default=None)
+
+
+def from_pairs(terms):
+    """The constructor fed a generator of pairs, each term's orders a list."""
+    return DiffPolynomial(((list(orders), e), c) for (orders, e), c in terms)
+
+
+def from_obj(terms):
+    """poly_from_obj on the JSON object tree of the same pairs."""
+    return poly_from_obj(
+        [{"orders": list(orders), "lambda_coeffs": [[e, str(c)]]} for (orders, e), c in terms]
+    )
+
+
+# the two ways outside terms get in, each given ((orders, λ-exponent), c) pairs
+ways_in = pytest.mark.parametrize("build", [from_pairs, from_obj], ids=["pairs", "obj"])
 
 
 def test_monomial_canonical_form():
@@ -45,17 +64,16 @@ def test_monomial_rejects_negative_orders():
         poly_from_obj([{"orders": [0, -1], "lambda_coeffs": [[0, "1"]]}])
 
 
+@ways_in
 @pytest.mark.parametrize("orders", [(-1,), (2, 256), (0, 300, 1)])
-def test_orders_outside_a_byte_are_rejected(orders):
+def test_orders_outside_a_byte_are_rejected(orders, build):
     # one byte per order: every way in names the range
     with pytest.raises(ValueError, match="outside 0..255"):
         canonical_monomial(orders)
     with pytest.raises(ValueError, match="outside 0..255"):
-        DiffPolynomial({(orders, 0): 1})
+        build([((orders, 0), 1)])
     with pytest.raises(ValueError, match="outside 0..255"):
         DiffPolynomial.u_power(1)[orders]
-    with pytest.raises(ValueError, match="outside 0..255"):
-        poly_from_obj([{"orders": list(orders), "lambda_coeffs": [[0, "1"]]}])
 
 
 def test_orders_at_the_ends_of_a_byte_are_kept():
@@ -68,22 +86,20 @@ def test_orders_at_the_ends_of_a_byte_are_kept():
         p.differentiate()
 
 
-def test_poly_from_obj_adds_duplicates_and_drops_zero_sums():
-    def entry(orders, e, c):
-        return {"orders": orders, "lambda_coeffs": [[e, str(c)]]}
-
+@ways_in
+def test_poly_from_obj_adds_duplicates_and_drops_zero_sums(build):
     # one term two or three times, its orders in any order: the coefficients add up
-    p = poly_from_obj([entry([1, 0], 0, 2), entry([0, 1], 0, 3)])
+    p = build([(((1, 0), 0), 2), (((0, 1), 0), 3)])
     assert p == dp({(0, 1): {0: 5}})
-    assert poly_from_obj([entry([0, 1], 0, 2)] * 3) == dp({(0, 1): {0: 6}})
+    assert build([(((0, 1), 0), 2)] * 3) == dp({(0, 1): {0: 6}})
     assert [type(m) for (m, _), _ in flat_terms(p)] == [bytes]
     # a zero sum is dropped, and a zero sum at another weight is no mixed weight
-    p = poly_from_obj(
-        [entry([2], 0, 1), entry([0, 1], 0, 4), entry([1, 0], 0, -4)]
-        + [entry([0], 1, 7), entry([0], 1, -7)]
+    p = build(
+        [(((2,), 0), 1), (((0, 1), 0), 4), (((1, 0), 0), -4)]
+        + [(((0,), 1), 7), (((0,), 1), -7)]
     )
     assert p == dp({(2,): {0: 1}}) and p.weight == 3
-    assert poly_from_obj([entry([0], 1, 7), entry([0], 1, -7)]) == DiffPolynomial()
+    assert build([(((0,), 1), 7), (((0,), 1), -7)]) == DiffPolynomial()
 
 
 def test_lambda_polynomial_is_one_pair():
@@ -99,13 +115,44 @@ def test_lambda_polynomial_rejects_negative_exponents():
         LambdaPolynomial(-1, 2)
 
 
-def test_poly_from_obj_rejects_negative_lambda_exponent():
-    with pytest.raises(ValueError):
-        DiffPolynomial({((0,), -1): 1})
-    with pytest.raises(ValueError):
-        poly_from_obj([{"orders": [0], "lambda_coeffs": [[-1, "1"]]}])
-    with pytest.raises(ValueError):
+@ways_in
+def test_poly_from_obj_rejects_negative_lambda_exponent(build):
+    with pytest.raises(ValueError, match="negative"):
+        build([(((0,), -1), 1)])
+    with pytest.raises(ValueError, match="negative"):
         DiffPolynomial.u_power(1).scale(1, lam=-1)
+
+
+@pytest.mark.parametrize("e", [0.5, True])
+def test_constructor_rejects_non_integer_lambda_exponents(e):
+    # u at λ^0.5 would have weight 1.5; True would pass as weight 2
+    with pytest.raises(ValueError, match="non-integer"):
+        DiffPolynomial({((0,), e): 1})
+    with pytest.raises(ValueError, match="non-integer"):
+        poly_from_obj([{"orders": [0], "lambda_coeffs": [[e, "1"]]}])
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0, Fraction(1, 2), True])
+def test_constructor_rejects_non_integer_coefficients(c):
+    with pytest.raises(ValueError, match="non-integer"):
+        DiffPolynomial({((0,), 0): c})
+    with pytest.raises(ValueError, match="non-integer"):
+        DiffPolynomial([(([0], 0), c)])
+
+
+@pytest.mark.parametrize("c", [1.7, 2, None])
+def test_poly_from_obj_rejects_non_string_coefficients(c):
+    # a JSON number would be truncated by int(): 1.7 is no coefficient 1
+    with pytest.raises(ValueError, match="decimal string"):
+        poly_from_obj([{"orders": [0], "lambda_coeffs": [[0, c]]}])
+    with pytest.raises(ValueError):
+        poly_from_obj([{"orders": [0], "lambda_coeffs": [[0, "1.7"]]}])
+
+
+@pytest.mark.parametrize(("c", "lam"), [(0.5, 0), (2.0, 0), (1, 0.5), (True, 0), (1, True)])
+def test_scale_rejects_non_integers(c, lam):
+    with pytest.raises(ValueError, match="non-integer"):
+        DiffPolynomial.u_power(1).scale(c, lam)
 
 
 def test_lambda_coefficients_through_the_flat_map():
@@ -134,21 +181,17 @@ def test_lambda_coeff_text():
     assert lambda_coeff_text(LambdaPolynomial(3, 7)) == "7·λ^3"
 
 
-def test_mixed_weights_cannot_be_built():
-    # u (weight 1) beside λ·u (weight 2)
-    with pytest.raises(ValueError):
-        DiffPolynomial({((0,), 0): 1, ((0,), 1): 1})
-    with pytest.raises(ValueError):
+@ways_in
+def test_mixed_weights_cannot_be_built(build):
+    # u (weight 1) beside λ·u (weight 2), and u beside λ·u' (weight 3)
+    with pytest.raises(ValueError, match="mixed weights"):
+        build([(((0,), 0), 1), (((0,), 1), 1)])
+    with pytest.raises(ValueError, match="mixed weights"):
+        build([(((0,), 0), 1), (((1,), 1), 1)])
+    with pytest.raises(ValueError, match="weights"):
         DiffPolynomial.u_power(1) + DiffPolynomial.u_power(1).scale(1, lam=1)
-    with pytest.raises(ValueError):
-        poly_from_obj(
-            [
-                {"orders": [0], "lambda_coeffs": [[0, "1"]]},
-                {"orders": [1], "lambda_coeffs": [[1, "1"]]},
-            ]
-        )
     # the check reads the terms left after pruning
-    p = DiffPolynomial({((0,), 0): 1, ((0,), 1): 0, ((1, 0), 0): 2, ((0, 1), 0): -2})
+    p = build([(((0,), 0), 1), (((0,), 1), 0), (((1, 0), 0), 2), (((0, 1), 0), -2)])
     assert p == DiffPolynomial.u_power(1) and p.weight == 1
 
 
@@ -358,3 +401,10 @@ def test_add_matches_the_reference(pair):
             expected[key] = expected.get(key, 0) + c
         expected = {key: c for key, c in expected.items() if c}
         assert dict(flat_terms(p + other)) == expected
+
+
+@given(diff_polys)
+@settings(max_examples=100)
+def test_json_round_trip(p):
+    assert poly_from_obj(poly_to_obj(p)) == p
+    assert poly_from_obj(json.loads(poly_to_json(p))) == p
