@@ -20,7 +20,6 @@ from .expansion import (
     c_star_factorial_form,
     coefficient_closed_form,
     h_poly,
-    kernel_exponents,
     kl_closed_form,
     kl_direct,
     kth_term,
@@ -28,6 +27,7 @@ from .expansion import (
     linear_part,
 )
 from .reductions import (
+    kernel_exponents,
     lambda_zero_pattern,
     reduce_first_order,
     reduce_order,

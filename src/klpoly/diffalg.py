@@ -43,11 +43,15 @@ class LambdaPolynomial:
 
 def canonical_monomial(orders: Iterable[int]) -> Monomial:
     """The monomial with these derivative orders: the orders sorted
-    ascending.  Raises ValueError on an order outside 0..255."""
-    orders = sorted(orders)
-    if orders and (orders[0] < 0 or orders[-1] > 255):
-        raise ValueError(f"derivative order outside 0..255 in {tuple(orders)}")
-    return bytes(orders)
+    ascending.  Raises ValueError on an order that is not an int (a bool is
+    not) in 0..255."""
+    orders = list(orders)
+    # typed before sorting, which may compare a str with an int
+    if set(map(type, orders)) <= {int}:
+        orders.sort()
+        if not orders or 0 <= orders[0] and orders[-1] <= 255:
+            return bytes(orders)
+    raise ValueError(f"derivative order outside 0..255 in {tuple(orders)}")
 
 
 @lru_cache(maxsize=None)

@@ -258,14 +258,3 @@ def linear_factorization(n: int) -> DiffPolynomial:
     p = p.differentiate() + p.scale(-1, lam=1)
     return p.scale(n - 1)
 
-
-def kernel_exponents(n: int) -> list[int]:
-    """The candidates z among 1, -1, -2, ..., -(n-2), in that order, at which
-    h(z) = Σ c[α] z^α of the built linear part vanishes: the multipliers z
-    with e^(zλx) annihilated by it.  By theory every candidate survives."""
-    c = linear_part(n)
-    return [
-        z
-        for z in [1, *range(-1, 1 - n, -1)]
-        if not sum(coeff * z**alpha for alpha, coeff in enumerate(c))
-    ]

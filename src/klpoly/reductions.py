@@ -1,4 +1,4 @@
-"""Exact quotient reductions and root-of-unity analysis of the linear part.
+"""Exact quotient reductions and root analysis of the linear part.
 
 The vanishing identities are checked algebraically: substituting
 u^(t) -> λ^(t − t mod m) u^(t mod m) turns a differential polynomial into
@@ -6,9 +6,10 @@ one in u, u', …, u^(m−1) alone, whose identical vanishing is equivalent to
 vanishing on every solution of u^(m) = λ^m u, because the initial values
 u(x0), …, u^(m−1)(x0) are free.
 
-The 110-digit cross-check of the thm5 suite evaluates h(ζ^r) in exact
-integer fixed point: the m-th roots of unity are Gaussian integers scaled
-by 2^_BITS, so the runtime needs nothing outside the standard library.
+Every root verdict judges h(z) = Σ c[α] z^α for the row c it is given,
+from z^0 up.  The thm5 suite's 110-digit cross-check evaluates h(ζ^r) in
+exact integer fixed point: the m-th roots of unity are Gaussian integers
+scaled by 2^_BITS, so the runtime needs nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from math import ceil, cos, gcd, log2, pi, sin
 
 from .diffalg import DiffPolynomial
-from .expansion import kl_direct, linear_part
+from .expansion import kl_direct
 
 # decimal digits of the thm5 cross-check, and the fixed-point bits that
 # carry them with 64 guard bits
@@ -75,18 +76,28 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def thm5_verdict(n: int, m: int) -> set[int]:
+def thm5_verdict(c: tuple[int, ...], m: int) -> set[int]:
     """Rate indices r whose exponential e^(λ ζ^r x), ζ a primitive m-th root
-    of unity, survives in the kernel of the built linear part: h(ζ^r) = 0
-    for h(z) = Σ c[n−1−α] z^α.  ζ^r has order d = m / gcd(r, m), so that
-    holds exactly when Φ_d divides h over ℤ."""
-    if n < 3 or m < 3:
-        raise ValueError(f"need n >= 3 and m >= 3, got n={n}, m={m}")
-    h = linear_part(n)[::-1]
+    of unity, survives in the kernel of the linear operator with coefficient
+    row c: h(ζ^r) = 0 for h(z) = Σ c[α] z^α.  ζ^r has order
+    d = m / gcd(r, m), so that holds exactly when Φ_d divides h over ℤ."""
+    if len(c) < 3 or m < 3:
+        raise ValueError(f"need a row of length >= 3 and m >= 3, got length {len(c)}, m={m}")
     zero_orders = {
-        d for d in range(1, m + 1) if m % d == 0 and not any(_divmod_monic(h, cyclotomic(d))[1])
+        d for d in range(1, m + 1) if m % d == 0 and not any(_divmod_monic(c, cyclotomic(d))[1])
     }
     return {r for r in range(m) if m // gcd(r, m) in zero_orders}
+
+
+def kernel_exponents(c: tuple[int, ...]) -> list[int]:
+    """The candidates z among 1, −1, −2, …, −(n−2), n = len(c), in that order,
+    at which h(z) = Σ c[α] z^α vanishes: the multipliers z with e^(zλx) in the
+    operator's kernel.  For the linear part of f_n all survive by theory."""
+    return [
+        z
+        for z in [1, *range(-1, 1 - len(c), -1)]
+        if not sum(coeff * z**alpha for alpha, coeff in enumerate(c))
+    ]
 
 
 @lru_cache(maxsize=32)
@@ -119,15 +130,13 @@ def _roots_of_unity(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def h_at_root_of_unity_numeric(c: tuple[int, ...], m: int, r: int) -> Decimal:
-    """|h(ζ^r)| for linear-part coefficients c, to PRECISION digits,
-    as a cross-check on the exact verdicts: h(ζ^r) =
-    Σ c[i] ζ^(r(n−1−i)), n = len(c), two exact integer dot products of the
-    coefficients with the real and imaginary parts of the reduced powers of ζ."""
+    """|h(ζ^r)| for h(z) = Σ c[α] z^α, to PRECISION digits, as a
+    cross-check on the exact verdicts: two exact integer dot products of the
+    coefficients with the real and imaginary parts of ζ^(rα mod m)."""
     roots = _roots_of_unity(m)
-    n = len(c)
     x = y = 0
-    for i, coeff in enumerate(c):
-        re, im = roots[r * (n - 1 - i) % m]
+    for alpha, coeff in enumerate(c):
+        re, im = roots[r * alpha % m]
         x += coeff * re
         y += coeff * im
     return _CONTEXT.divide(_CONTEXT.sqrt(Decimal(x * x + y * y)), Decimal(_ONE))

@@ -143,7 +143,7 @@ def test_criterion_09_surviving_rates(capsys):
             c = linear_part(n)
             for m in range(3, 11):
                 expected = {0} if m % 2 else {0, m // 2}
-                verdict = thm5_verdict(n, m)
+                verdict = thm5_verdict(c, m)
                 assert verdict == expected
                 for r in range(m):
                     numeric = h_at_root_of_unity_numeric(c, m, r)

@@ -65,9 +65,12 @@ def test_monomial_rejects_negative_orders():
 
 
 @ways_in
-@pytest.mark.parametrize("orders", [(-1,), (2, 256), (0, 300, 1)])
+@pytest.mark.parametrize(
+    "orders", [(-1,), (2, 256), (0, 300, 1), (True,), (0.5,), ("1",), ("1", 0)]
+)
 def test_orders_outside_a_byte_are_rejected(orders, build):
-    # one byte per order: every way in names the range
+    # one byte per order: every way in names the range, and an order that
+    # is not an int, a bool included, lies outside it
     with pytest.raises(ValueError, match="outside 0..255"):
         canonical_monomial(orders)
     with pytest.raises(ValueError, match="outside 0..255"):

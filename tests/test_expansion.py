@@ -374,15 +374,15 @@ def test_linear_factorization_matches_linear_part():
 
 
 def test_kernel_exponents():
-    assert kernel_exponents(3) == [1, -1]
-    assert kernel_exponents(2) == [1]
-    assert kernel_exponents(6) == [1, -1, -2, -3, -4]
+    assert kernel_exponents(linear_part(3)) == [1, -1]
+    assert kernel_exponents(linear_part(2)) == [1]
+    assert kernel_exponents(linear_part(6)) == [1, -1, -2, -3, -4]
     for n in range(2, 13):
         # every candidate survives the built part's h(z) = Σ c[α] z^α
         c = linear_part(n)
         candidates = [1] + [-a for a in range(1, n - 1)]
         assert [z for z in candidates if sum(x * z**a for a, x in enumerate(c))] == []
-        assert kernel_exponents(n) == candidates
+        assert kernel_exponents(c) == candidates
 
 
 def test_lambda_zero_collapse():

@@ -5,10 +5,13 @@ from math import comb, prod
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klpoly import (
     DiffPolynomial,
     differential_word,
+    kernel_exponents,
     kl_direct,
     lambda_zero_pattern,
     linear_part,
@@ -189,23 +192,47 @@ def test_cyclotomic_polynomials():
 
 
 def test_thm5_verdicts():
-    assert thm5_verdict(4, 3) == {0}
-    assert thm5_verdict(4, 4) == {0, 2}
-    assert thm5_verdict(6, 5) == {0}
+    assert thm5_verdict(linear_part(4), 3) == {0}
+    assert thm5_verdict(linear_part(4), 4) == {0, 2}
+    assert thm5_verdict(linear_part(6), 5) == {0}
     for n in range(3, 21):
+        c = linear_part(n)
         for m in range(3, 21):
             expected = {0} if m % 2 else {0, m // 2}
-            assert thm5_verdict(n, m) == expected, (n, m)
-    for n, m in ((2, 4), (4, 2)):
+            assert thm5_verdict(c, m) == expected, (n, m)
+    for c, m in ((linear_part(2), 4), (linear_part(4), 2)):
         with pytest.raises(ValueError):
-            thm5_verdict(n, m)
+            thm5_verdict(c, m)
+
+
+def test_verdicts_judge_the_row_as_given():
+    # Φ_3 = 1 + z + z² vanishes at the primitive cube roots of unity,
+    # z² − 1 at ±1
+    assert thm5_verdict((1, 1, 1), 3) == {1, 2}
+    assert thm5_verdict((1, 1, 1), 6) == {2, 4}
+    assert thm5_verdict((-1, 0, 1), 4) == {0, 2}
+    assert kernel_exponents((-2, 0, 2)) == [1, -1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-10, 10), min_size=3, max_size=8).filter(lambda c: c[0] and c[-1]),
+    st.integers(3, 12),
+)
+def test_verdict_is_closed_under_reversal_and_matches_the_numerics(c, m):
+    # the roots of Φ_d are closed under z → 1/z, so a row and its reversal
+    # share every verdict; at these sizes the resultant bound keeps |h(ζ^r)|
+    # of every non-root above about 1e-19
+    c = tuple(c)
+    numeric = {r for r in range(m) if h_at_root_of_unity_numeric(c, m, r) < 1e-50}
+    assert thm5_verdict(c, m) == thm5_verdict(c[::-1], m) == numeric
 
 
 def test_numeric_crosscheck_at_110_digits():
     for n in range(3, 11):
         c = linear_part(n)
         for m in range(3, 11):
-            surviving = thm5_verdict(n, m)
+            surviving = thm5_verdict(c, m)
             for r in range(m):
                 magnitude = h_at_root_of_unity_numeric(c, m, r)
                 if r in surviving:
@@ -215,14 +242,15 @@ def test_numeric_crosscheck_at_110_digits():
 
 
 def test_numeric_crosscheck_matches_horner():
-    # the oracle evaluates h at ζ^r itself, by Horner over the coefficients,
-    # in mpmath; a Decimal reaches mpmath through its digit string
+    # the oracle evaluates the same h(z) = Σ c[α] z^α at ζ^r, by Horner in
+    # mpmath, whose polyval takes the top coefficient first; a Decimal
+    # reaches mpmath through its digit string
     for n in range(2, 21):
         c = linear_part(n)
         for m in range(1, 21):
             for r in range(m):
                 with mpmath.workdps(110):
-                    horner = abs(mpmath.polyval(c, mpmath.expjpi(mpmath.mpf(2 * r) / m)))
+                    horner = abs(mpmath.polyval(c[::-1], mpmath.expjpi(mpmath.mpf(2 * r) / m)))
                     value = h_at_root_of_unity_numeric(c, m, r)
                     assert abs(horner - mpmath.mpf(str(value))) < 1e-90, (n, m, r)
 
