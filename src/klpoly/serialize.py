@@ -50,7 +50,9 @@ def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
 
 
 def _decimal(c: object) -> int:
-    if type(c) is not str:
+    # only the writer's form, ASCII digits after an optional "-": int() alone
+    # also takes "1_000", " +7 " and non-ASCII digits such as "٣"
+    if type(c) is not str or not (c.isascii() and c.removeprefix("-").isdigit()):
         raise ValueError(f"coefficient {c!r} is not a decimal string")
     return int(c)
 

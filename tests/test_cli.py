@@ -41,19 +41,10 @@ def test_expand_3_json_golden(capsys):
     assert out == (GOLDEN / "expand_3.json").read_text()
 
 
-def test_expand_closed_form_agrees(capsys):
-    _, direct = run(capsys, ["expand", "5", "--format", "json"])
-    _, closed = run(capsys, ["expand", "5", "--format", "json", "--closed-form"])
-    d, c = json.loads(direct), json.loads(closed)
-    assert d["provenance"] == "direct" and c["provenance"] == "closed_form"
-    assert d["terms"] == c["terms"]
-
-
-@pytest.mark.parametrize("route, provenance", [([], "direct"), (["--closed-form"], "closed_form")])
-def test_expand_1_json_is_the_zero_polynomial(capsys, route, provenance):
-    code, out = run(capsys, ["expand", "1", "--format", "json", *route])
+def test_expand_1_json_is_the_zero_polynomial(capsys):
+    code, out = run(capsys, ["expand", "1", "--format", "json"])
     assert code == 0
-    assert out == '{\n  "n": 1,\n  "provenance": "%s",\n  "terms": []\n}\n' % provenance
+    assert out == '{\n  "n": 1,\n  "provenance": "direct",\n  "terms": []\n}\n'
 
 
 def test_expand_small_values(capsys):
@@ -292,7 +283,7 @@ def check_status(capsys, argv, check):
 # the checks each per-suite perturbation below reaches; thm5's cross-check
 # reads the theory coefficients, so it fails with the verdict it is compared to
 PERTURBED_CHECKS = {
-    "identities": ["first-identity n=3"],
+    "identities": ["first-identity n=3", "closed-form-agrees n=3"],
     "linear": ["linear-coefficient-formula n=3"],
     "thm5": ["surviving-rates n=3 m=3", "numeric-crosscheck n=3 m=3"],
     "cstar": ["c-star n=3 j=2"],
@@ -421,6 +412,8 @@ CHANGED_VALUES = [
      lambda p: p + DiffPolynomial({((0,), 1): 1})),
     ("identities", "second-identity n=1", "reduce_second_order", (expansion.kl_direct(1).poly,),
      lambda p: p + DiffPolynomial({((1,), 0): 1})),
+    ("identities", "closed-form-agrees n=2", "kl_closed_form", (2,),
+     lambda e: e._replace(poly=e.poly + DiffPolynomial({((0,), 1): 1}))),
     ("linear", "linear-coefficient-formula n=2", "c_alpha_formula", (2, 1), lambda c: c + 1),
     ("linear", "h-polynomial n=2", "h_poly", (2,), lambda h: [h[0] + 1, *h[1:]]),
     ("linear", "operator-factorization n=2", "linear_factorization", (2,),
@@ -501,9 +494,9 @@ def test_no_command_loads_mpmath():
         "import sys, contextlib, io\n"
         "from klpoly.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in (['expand', '4'], ['expand', '4', '--closed-form'],\n"
-        "                 ['table', '4', '3', '2'], ['linear', '5'], ['cstar', '4'],\n"
-        "                 ['hpoly', '5'], ['verify', 'identities', '--n-max', '4'],\n"
+        "    for argv in (['expand', '4'], ['table', '4', '3', '2'], ['linear', '5'],\n"
+        "                 ['cstar', '4'], ['hpoly', '5'],\n"
+        "                 ['verify', 'identities', '--n-max', '4'],\n"
         "                 ['verify', 'cstar', '--n-max', '3'],\n"
         "                 ['verify', 'weights', '--n-max', '2'],\n"
         "                 ['verify', 'linear', '--n-max', '4'],\n"
@@ -514,7 +507,7 @@ def test_no_command_loads_mpmath():
     )
     child = run_child(script)
     assert child.returncode == 0, child.stderr
-    assert child.stderr.split() == ["none"] * 11
+    assert child.stderr.split() == ["none"] * 10
 
 
 def test_verify_thm5_runs_with_mpmath_blocked():
@@ -545,7 +538,6 @@ CLI_SURFACE = [
     ("expand", "expand the n-th polynomial, 1 <= n <= 24", [
         HELP,
         positional("n"),
-        (("--closed-form",), None, None, False, None),
         FORMAT,
     ]),
     ("table", "density table for compositions of (j, alpha, k)", [
@@ -593,9 +585,12 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_removed_parallel_option_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["expand", "3", "--parallel", "2"])
-    assert exc.value.code == 2
+    # --closed-form too: `verify identities` compares the closed form instead
+    for removed in (["--parallel", "2"], ["--closed-form"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "3", *removed])
+        assert exc.value.code == 2, removed
+        assert capsys.readouterr().out == "", removed
 
 
 def test_verify_calls_suites_through_module_attributes(capsys, monkeypatch):
@@ -728,8 +723,7 @@ def small_argv(draw):
     else:
         arity = ARITY.get(command, 0)
         args = draw(st.lists(SMALL, min_size=arity, max_size=arity + 1))
-    flags = ["--format=json", "--no-timing"]
-    flags.append("--closed-form" if command == "expand" else "--bogus")
+    flags = ["--format=json", "--no-timing", "--bogus"]
     return [command, *args, *draw(st.lists(st.sampled_from(flags), max_size=2, unique=True))]
 
 

@@ -152,6 +152,13 @@ def test_poly_from_obj_rejects_non_string_coefficients(c):
         poly_from_obj([{"orders": [0], "lambda_coeffs": [[0, "1.7"]]}])
 
 
+@pytest.mark.parametrize("c", ["1_000", " +7 ", "٣", "-", "", "--1"])
+def test_poly_from_obj_takes_only_the_writers_decimal_form(c):
+    # int() reads the first three as 1000, 7 and 3; the writer prints none of them
+    with pytest.raises(ValueError, match="decimal string"):
+        poly_from_obj([{"orders": [0], "lambda_coeffs": [[0, c]]}])
+
+
 @pytest.mark.parametrize(("c", "lam"), [(0.5, 0), (2.0, 0), (1, 0.5), (True, 0), (1, True)])
 def test_scale_rejects_non_integers(c, lam):
     with pytest.raises(ValueError, match="non-integer"):
