@@ -46,7 +46,10 @@ def differential_word(beta: Composition) -> DiffPolynomial:
     The length-1 word is u differentiated beta[0] times; a longer word is
     the word of beta[:-1], read from this cache, multiplied by u and
     differentiated beta[-1] times.  The recursion runs over the length only.
+    Raises ValueError on the empty composition, which is its own prefix.
     """
+    if not beta:
+        raise ValueError(f"a composition has length >= 1, got {beta}")
     if len(beta) == 1:
         w = DiffPolynomial.u_power(1)
     else:

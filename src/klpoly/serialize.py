@@ -42,11 +42,15 @@ def poly_to_json(p: DiffPolynomial) -> str:
 
 def poly_from_obj(obj: list[dict]) -> DiffPolynomial:
     """Inverse of poly_to_obj; terms naming the same monomial and
-    λ-exponent add up.  Raises ValueError where the constructor does, and
-    on a coefficient that is not a decimal string."""
-    return DiffPolynomial(
-        ((entry["orders"], e), _decimal(c)) for entry in obj for e, c in entry["lambda_coeffs"]
-    )
+    λ-exponent add up.  Raises ValueError where the constructor does, on a
+    coefficient that is not a decimal string, and on a term that is not an
+    object with "orders" and "lambda_coeffs" lists."""
+    try:
+        return DiffPolynomial(
+            ((entry["orders"], e), _decimal(c)) for entry in obj for e, c in entry["lambda_coeffs"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed term list: {exc!r}") from exc
 
 
 def _decimal(c: object) -> int:

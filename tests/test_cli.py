@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -643,6 +644,15 @@ def test_verify_bound_above_range_is_usage_error(capsys, monkeypatch):
     assert main(["verify", "thm5", "--n-max", "20", "--m-max", "20"]) == 0
     assert main(["verify", "all", "--n-max", "3", "--m-max", "3"]) == 0
     assert calls == [(10,), (20, 20), (3,), (3,), (3,), (3,), (3, 3)]
+
+
+def test_every_suite_default_lies_in_its_accepted_range():
+    # cmd_verify checks only the bounds a user gives: a default runs unchecked
+    for name, bounds in cli.SUITES.items():
+        suite = getattr(cli, f"suite_{name}")
+        assert len(bounds) == len(inspect.signature(suite).parameters), name
+        for default, accepted in bounds:
+            assert default in accepted, (name, default)
 
 
 def test_value_error_inside_a_suite_is_an_internal_error(capsys, monkeypatch):

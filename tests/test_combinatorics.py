@@ -111,6 +111,12 @@ def test_differential_word_base_cases():
     assert differential_word((0, 0)) == dp({(0, 0): {0: 1}})
 
 
+def test_differential_word_rejects_the_empty_composition():
+    # () is its own prefix, so the recursion would never reach its base case
+    with pytest.raises(ValueError, match="length >= 1"):
+        differential_word(())
+
+
 def test_differential_word_reuses_cached_prefix():
     differential_word.cache_clear()
     differential_word((0, 1, 1, 1))

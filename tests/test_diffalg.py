@@ -159,6 +159,23 @@ def test_poly_from_obj_takes_only_the_writers_decimal_form(c):
         poly_from_obj([{"orders": [0], "lambda_coeffs": [[0, c]]}])
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"orders": [0]},
+        {"orders": 5, "lambda_coeffs": [[1, "1"]]},
+        {"lambda_coeffs": [[1, "1"]]},
+        "u",
+    ],
+)
+def test_poly_from_obj_rejects_a_malformed_term(term):
+    # outside data raises ValueError alone, never the KeyError or TypeError
+    # of the lookup that found it malformed
+    with pytest.raises(ValueError, match="malformed term") as exc:
+        poly_from_obj([{"orders": [0], "lambda_coeffs": [[1, "1"]]}, term])
+    assert isinstance(exc.value.__cause__, (KeyError, TypeError))
+
+
 @pytest.mark.parametrize(("c", "lam"), [(0.5, 0), (2.0, 0), (1, 0.5), (True, 0), (1, True)])
 def test_scale_rejects_non_integers(c, lam):
     with pytest.raises(ValueError, match="non-integer"):
