@@ -98,11 +98,13 @@ def sum_of_products(n: int, alpha: int) -> int:
     return row[alpha] if 0 <= alpha < len(row) else 0
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _product_sum_row(n: int) -> tuple[int, ...]:
     """(S(n, 0), ..., S(n, n)), built iteratively from S(0, ·) = (1,) by the
     Pascal-like recurrence S(m, a) = S(m-1, a) + m*S(m-1, a-1); (1,) for
-    n <= 0."""
+    n <= 0.  One sweep of `c_star(n, ·)` reads the rows below n, so the
+    cache holds 128 rows: with 64 a sweep past n = 64 evicts each row
+    before it is read again."""
     row = [1]
     for m in range(1, n + 1):
         row = [1] + [row[a] + m * row[a - 1] for a in range(1, m)] + [m * row[-1]]

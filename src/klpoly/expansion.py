@@ -8,8 +8,9 @@ two routes is the main oracle of the test suite.
 The operator factors (∂ − u + mλ) of the defining formula differ only by
 scalars, so with E = ∂ − u their product over m < L is the rising factorial
 Σ_a [L, a] λ^(L−a) E^a, [L, a] the unsigned Stirling numbers of the first
-kind.  The direct route therefore iterates the λ-free operator E on u^k and
-weights each power; it never reaches ``combinatorics``.
+kind.  The direct route therefore weights the λ-free powers E^a u^k, which
+do not depend on n: each is built once per process by `_e_power` and shared
+by every f_n that reads it.  It never reaches ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ def _rising_factorial_row(length: int) -> list[int]:
     return row
 
 
+@lru_cache(maxsize=None)
+def _e_power(k: int, a: int) -> DiffPolynomial:
+    """E^a u^k for a >= 1, E = ∂ − u: one `apply_factor()` on E^(a−1) u^k,
+    which is u^k itself at a = 1.  It is λ-free and independent of n, so
+    every f_n shares it; cached for the process, holding the N(N+1)/2
+    powers of f_N once it is built (62,459 terms at N = 24).  A
+    Horner-nested `kl_direct` needs none of them and would replace this
+    cache.  Callers must not write to the result."""
+    below = _e_power(k, a - 1) if a > 1 else DiffPolynomial.u_power(k)
+    return below.apply_factor()
+
+
 def kth_term(n: int, k: int) -> DiffPolynomial:
     """The k-th summand of the defining formula, including its binomial
     factor: C(n,k) times the operator product applied to u^k.
@@ -51,20 +64,18 @@ def kth_term(n: int, k: int) -> DiffPolynomial:
     scalars, so they commute and their product is the rising factorial
     Σ_{a=1..L} [L, a] λ^(L−a) E^a.  E^a u^k is λ-free of degree plus order
     k + a, so the powers land on disjoint monomials of one map of weight n:
-    each is computed once from the last and written with the factor
-    C(n,k)·[L, a].
+    each is read from `_e_power`, built once per process for all n, and
+    written with the factor C(n,k)·[L, a].
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    length = n - k
-    row = _rising_factorial_row(length)
     binom = comb(n, k)
-    word = DiffPolynomial.u_power(k)
-    out = {}
-    for a in range(1, length + 1):
-        word = word.apply_factor()
-        factor = binom * row[a]
-        out.update((mono, factor * c) for mono, c in word._terms.items())
+    factors = [binom * s for s in _rising_factorial_row(n - k)]
+    out = {
+        mono: factors[a] * c
+        for a in range(1, n - k + 1)
+        for mono, c in _e_power(k, a)._terms.items()
+    }
     return DiffPolynomial._wrap(out, n)
 
 

@@ -6,6 +6,7 @@ from math import comb, factorial, prod
 import pytest
 
 from klpoly import (
+    c_star,
     convolution,
     density,
     differential_word,
@@ -16,6 +17,8 @@ from klpoly import (
     sum_of_products_enumerated,
     weight_closed_form,
 )
+from klpoly.combinatorics import _product_sum_row
+from klpoly.expansion import _alternating_weights
 from klpoly.reductions import reduce_first_order
 from helpers import a_coefficients, dp, flat_terms, product_rule_coefficient, weight
 
@@ -247,6 +250,15 @@ def test_product_sum_rows_generate_the_product():
             assert sum(s * z**alpha for alpha, s in enumerate(row)) == prod(
                 1 + a * z for a in range(1, n + 1)
             ), (n, z)
+
+
+def test_c_star_sweep_builds_each_row_once():
+    # c_star(70, ·) reads the rows S(−1, ·) … S(69, ·); a cache smaller
+    # than that evicts each row before the next degree reads it again
+    _product_sum_row.cache_clear()
+    _alternating_weights.cache_clear()
+    assert all(c_star(70, j) == 0 for j in range(1, 71))
+    assert _product_sum_row.cache_info().misses <= 71
 
 
 def test_factorial_sum_examples():

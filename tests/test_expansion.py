@@ -27,7 +27,7 @@ from klpoly import (
     weight_closed_form,
 )
 from klpoly import expansion
-from klpoly.expansion import _p_sum_totals, _p_sums
+from klpoly.expansion import _e_power, _p_sum_totals, _p_sums
 from klpoly.serialize import poly_to_json, poly_to_obj
 from helpers import a_coefficients, dp, factor, flat_terms, monomials, product
 
@@ -205,7 +205,7 @@ def test_closed_form_route_never_applies_an_operator_factor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed-form route reached the operator route")
 
-    for cached in (kl_direct, _p_sums, differential_word):
+    for cached in (kl_direct, _e_power, _p_sums, differential_word):
         cached.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(DiffPolynomial, "apply_factor", forbidden)
@@ -231,7 +231,7 @@ def test_direct_route_never_reaches_the_closed_form(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the direct route reached the closed-form route")
 
-    for cached in (kl_direct, _p_sums, differential_word):
+    for cached in (kl_direct, _e_power, _p_sums, differential_word):
         cached.cache_clear()
     names = (
         "sum_of_products",
@@ -419,6 +419,35 @@ def test_direct_route_matches_golden_digests():
     for n, digest in golden.items():
         text = poly_to_json(kl_direct(int(n)).poly)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, f"n={n}"
+
+
+def test_direct_route_builds_each_power_once(monkeypatch):
+    # E^a u^k does not depend on n, so f_12, f_5 and f_9 together apply E
+    # once per power of f_12: 12·13/2 times, not once per power of each n
+    calls = []
+    apply_factor = DiffPolynomial.apply_factor
+
+    def counted(self):
+        calls.append(self)
+        return apply_factor(self)
+
+    kl_direct.cache_clear()
+    _e_power.cache_clear()
+    monkeypatch.setattr(DiffPolynomial, "apply_factor", counted)
+    for n in (12, 5, 9):
+        kl_direct(n)
+    assert len(calls) == 78
+    assert _e_power.cache_info().currsize == 78
+
+
+def test_direct_route_does_not_depend_on_build_order():
+    # from cold caches, f_24 first fills every power f_23 … f_1 read
+    kl_direct.cache_clear()
+    _e_power.cache_clear()
+    golden = json.loads((GOLDEN / "direct_sha256.json").read_text())
+    for n in range(24, 0, -1):
+        text = poly_to_json(kl_direct(n).poly)
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[str(n)], n
 
 
 def test_whole_polynomial_from_its_linear_parts():
