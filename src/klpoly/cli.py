@@ -131,7 +131,7 @@ def cmd_table(args) -> int:
         "rows": [{"beta": list(b), "density": d} for b, d in entries],
         "weight": total,
     }
-    width = max((len(str(b)) for b, _ in entries), default=10)
+    width = max(len(str(b)) for b, _ in entries)
     lines = [f"{str(b):<{width}}  {d}" for b, d in entries]
     lines.append(f"{f'W({j},{alpha},{k})':<{width}}  {total}")
     _emit(payload, args, lines)
@@ -418,7 +418,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # so that the exit flush writes what is still buffered to nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
         return CLOSED_STDOUT
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,10 @@ two routes is the main oracle of the test suite.
 The operator factors (∂ − u + mλ) of the defining formula differ only by
 scalars, so with E = ∂ − u their product over m < L is the rising factorial
 Σ_a [L, a] λ^(L−a) E^a, [L, a] the unsigned Stirling numbers of the first
-kind.  The direct route therefore weights the λ-free powers E^a u^k, which
-do not depend on n: each is built once per process by `_e_power` and shared
-by every f_n that reads it.  It never reaches ``combinatorics``.
+kind.  The direct route therefore weights the λ-free powers E^a u^k over
+k = 0..n, a = 0..n − k, which do not depend on n: each is built once per
+process by `_e_power` and shared by every f_n that reads it.  It never
+reaches ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ def _rising_factorial_row(length: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _e_power(k: int, a: int) -> DiffPolynomial:
-    """E^a u^k for a >= 1, E = ∂ − u: one `apply_factor()` on E^(a−1) u^k,
-    which is u^k itself at a = 1.  It is λ-free and independent of n, so
-    every f_n shares it; cached for the process, holding the N(N+1)/2
-    powers of f_N once it is built (62,459 terms at N = 24).  A
-    Horner-nested `kl_direct` needs none of them and would replace this
-    cache.  Callers must not write to the result."""
-    below = _e_power(k, a - 1) if a > 1 else DiffPolynomial.u_power(k)
-    return below.apply_factor()
+    """E^a u^k, E = ∂ − u: u^k at a = 0, else one `apply_factor()` on
+    E^(a−1) u^k.  λ-free and independent of n, so every f_n shares it;
+    cached for the process, holding the (N+1)(N+2)/2 powers of f_N once it
+    is built (62,484 terms at N = 24), none of which a Horner-nested
+    `kl_direct` would need.  Callers must not write to the result."""
+    return _e_power(k, a - 1).apply_factor() if a else DiffPolynomial.u_power(k)
 
 
 def kth_term(n: int, k: int) -> DiffPolynomial:
@@ -62,18 +61,19 @@ def kth_term(n: int, k: int) -> DiffPolynomial:
 
     With E = ∂ − u and L = n − k the factors E + mλ (m < L) differ by
     scalars, so they commute and their product is the rising factorial
-    Σ_{a=1..L} [L, a] λ^(L−a) E^a.  E^a u^k is λ-free of degree plus order
-    k + a, so the powers land on disjoint monomials of one map of weight n:
-    each is read from `_e_power`, built once per process for all n, and
-    written with the factor C(n,k)·[L, a].
+    Σ_{a=0..L} [L, a] λ^(L−a) E^a, where [L, 0] = 0 unless L = 0, so k = n
+    gives u^n.  E^a u^k is λ-free of degree plus order k + a, so the powers
+    land on disjoint monomials of one map of weight n: each is read from
+    `_e_power`, built once per process for all n, and written with the
+    factor C(n,k)·[L, a].
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     binom = comb(n, k)
-    factors = [binom * s for s in _rising_factorial_row(n - k)]
     out = {
-        mono: factors[a] * c
-        for a in range(1, n - k + 1)
+        mono: w * c
+        for a, w in enumerate([binom * s for s in _rising_factorial_row(n - k)])
+        if w
         for mono, c in _e_power(k, a)._terms.items()
     }
     return DiffPolynomial._wrap(out, n)
@@ -81,11 +81,11 @@ def kth_term(n: int, k: int) -> DiffPolynomial:
 
 @lru_cache(maxsize=None)
 def kl_direct(n: int) -> KLExpansion:
-    """Build f_{n,λ}(u) by direct operator application."""
+    """Build f_{n,λ}(u) = Σ_{k=0..n} `kth_term(n, k)`, the defining formula."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = {bytes(n): 1}
-    for k in range(n):
+    out = {}
+    for k in range(n + 1):
         for mono, c in kth_term(n, k)._terms.items():
             out[mono] = out.get(mono, 0) + c
     return KLExpansion(poly=DiffPolynomial._wrap(out, n))
@@ -133,7 +133,8 @@ def _alternating_weights(n: int, j: int, alpha: int) -> tuple[tuple[int, int], .
     """(k', (-1)^(j-k) C(n,k) S(n-k-1, n-j-α)) for each k in [0, j] whose
     weight is non-zero, k' = max(k, 1) naming the family Z(j, α, k') whose
     P-sums the k-th summand of the closed form reads.  Cached because the
-    closed form asks for the same row once per monomial at (j, α)."""
+    closed form asks for the same row once per monomial at (j, α); c* reads
+    each row once, so its sweeps only miss here."""
     return tuple(
         (max(k, 1), (-1) ** (j - k) * comb(n, k) * s)
         for k in range(j + 1)
@@ -257,15 +258,13 @@ def h_poly(n: int) -> list[int]:
 
 
 def linear_factorization(n: int) -> DiffPolynomial:
-    """Expand the operator (n-1)(∂ − λ) ∏_{a=1}^{n-2} (∂ + aλ) applied to u.
-
-    Equals the λ-graded linear part of f_{n,λ}(u).
+    """Expand the operator (n-1)(∂ − λ) ∏_{a=1}^{n-2} (∂ + aλ) applied to u,
+    one commuting factor at a time.  Equals the λ-graded linear part of
+    f_{n,λ}(u).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     p = DiffPolynomial.u_power(1)
-    for a in range(1, n - 1):
+    for a in (-1, *range(1, n - 1)):
         p = p.differentiate() + p.scale(a, lam=1)
-    p = p.differentiate() + p.scale(-1, lam=1)
     return p.scale(n - 1)
-

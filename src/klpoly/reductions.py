@@ -132,7 +132,10 @@ def _roots_of_unity(m: int) -> tuple[tuple[int, int], ...]:
 def h_at_root_of_unity_numeric(c: tuple[int, ...], m: int, r: int) -> Decimal:
     """|h(ζ^r)| for h(z) = Σ c[α] z^α, to PRECISION digits, as a
     cross-check on the exact verdicts: two exact integer dot products of the
-    coefficients with the real and imaginary parts of ζ^(rα mod m)."""
+    coefficients with the real and imaginary parts of ζ^(rα mod m).  Raises
+    ValueError for m < 1."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     roots = _roots_of_unity(m)
     x = y = 0
     for alpha, coeff in enumerate(c):

@@ -99,9 +99,12 @@ def test_hpoly_cap_prints_every_coefficient():
 
 
 def test_table_checks_its_size_before_enumerating(capsys, monkeypatch):
+    # every accepted family holds (0, …, 0, α), so the stub answers that row
     enumerated = []
     monkeypatch.setattr(
-        cli, "enumerate_compositions", lambda *shape: enumerated.append(shape) or []
+        cli,
+        "enumerate_compositions",
+        lambda j, alpha, k: enumerated.append((j, alpha, k)) or [(0,) * (j - 1) + (alpha,)],
     )
     for shape in ((31, 0, 1), (30, 31, 30), (10, 9, 1), (2, 30, 0)):
         assert main(["table", *map(str, shape)]) == 2, shape
@@ -701,6 +704,43 @@ def test_reader_that_closes_early_gives_the_closed_stdout_code():
     with child.stderr:
         err = child.stderr.read()
     assert (child.wait(timeout=60), err) == (cli.CLOSED_STDOUT, b"")
+
+
+def test_closed_stdout_leaves_no_descriptor_open():
+    # main itself, so the process lives on after it returns: the descriptor
+    # it opens on os.devnull must be closed once it stands in for stdout
+    script = (
+        "import json, os, sys\n"
+        "from klpoly.cli import main\n"
+        "def open_fds():\n"
+        "    fds = []\n"
+        "    for fd in range(64):\n"
+        "        try:\n"
+        "            os.fstat(fd)\n"
+        "        except OSError:\n"
+        "            continue\n"
+        "        fds.append(fd)\n"
+        "    return fds\n"
+        "before = open_fds()\n"
+        "code = main(['expand', '24', '--format', 'json'])\n"
+        "print(json.dumps([code, before, open_fds()]), file=sys.stderr)\n"
+    )
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    assert child.stdout.read(10) == '{\n  "n": 2'
+    child.stdout.close()
+    with child.stderr:
+        err = child.stderr.read()
+    assert child.wait(timeout=60) == 0
+    code, before, after = json.loads(err)
+    assert (code, after) == (cli.CLOSED_STDOUT, before)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

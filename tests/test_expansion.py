@@ -105,6 +105,16 @@ def test_first_two_summands_are_the_linear_factorization_chain():
         assert kth_term(n, 0) + kth_term(n, 1) == expected, n
 
 
+def test_direct_route_is_the_sum_over_k_up_to_n():
+    # [0, 0] = 1: the k = n summand is u^n, and f_n is the whole sum
+    for n in range(1, 13):
+        assert kth_term(n, n) == DiffPolynomial.u_power(n), n
+        total = DiffPolynomial()
+        for k in range(n + 1):
+            total = total + kth_term(n, k)
+        assert total == kl_direct(n).poly, n
+
+
 def test_kl_direct_small():
     assert not kl_direct(1).poly
     assert kl_direct(2).poly == dp({(1,): {0: 1}, (0,): {1: -1}})
@@ -396,7 +406,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         kl_direct(0)
     with pytest.raises(ValueError):
-        kth_term(3, 3)
+        kth_term(3, 4)
     with pytest.raises(ValueError):
         linear_part(1)
     with pytest.raises(ValueError):
@@ -437,7 +447,8 @@ def test_direct_route_builds_each_power_once(monkeypatch):
     for n in (12, 5, 9):
         kl_direct(n)
     assert len(calls) == 78
-    assert _e_power.cache_info().currsize == 78
+    # and holds u^0 … u^12 besides, E^0 of each k
+    assert _e_power.cache_info().currsize == 91
 
 
 def test_direct_route_does_not_depend_on_build_order():

@@ -255,6 +255,13 @@ def test_numeric_crosscheck_matches_horner():
                     assert abs(horner - mpmath.mpf(str(value))) < 1e-90, (n, m, r)
 
 
+def test_numeric_crosscheck_rejects_a_modulus_below_one():
+    # m = 0 would divide by zero and m = −3 index past the roots
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m >= 1"):
+            h_at_root_of_unity_numeric(linear_part(4), m, 0)
+
+
 def test_lambda_zero_pattern():
     # the only λ^0 degree-1 term of f_{k+1} is k·u^(k); m is not read
     for k in range(1, 11):
